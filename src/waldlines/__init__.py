@@ -8,7 +8,7 @@ bounds, a Chudnovsky-type inequality, and the conjectural upper bounds e_s
 
 __version__ = "0.1.0"
 
-from .linform import LinForm, as_rational, format_linform, parse_linform, tau_compare
+from .linform import LinForm, as_rational, format_linform, parse_linform
 from .cubic import AsymptoticCubic, RootBracket, largest_root
 from .plane import (
     IterationLimitError,
@@ -36,7 +36,6 @@ from .space import (
     certify_lower_bound,
     format_space_system,
     replay_degeneration,
-    restrict_to_quadric,
 )
 from .bounds import (
     STRONG_BOUND_EXCEPTIONS,
@@ -59,7 +58,6 @@ __all__ = [
     "as_rational",
     "format_linform",
     "parse_linform",
-    "tau_compare",
     "AsymptoticCubic",
     "RootBracket",
     "largest_root",
@@ -86,7 +84,6 @@ __all__ = [
     "certify_lower_bound",
     "format_space_system",
     "replay_degeneration",
-    "restrict_to_quadric",
     "STRONG_BOUND_EXCEPTIONS",
     "StrongBoundStatus",
     "alpha_max",

@@ -1,35 +1,36 @@
-"""Persistent result cache: a single JSON file keyed by (s, tau, grid, version).
+"""Persistent result cache: a single JSON file keyed by (s, tau, grid,
+precision, source fingerprint).
 
-Hits are returned only on exact key matches, so changing tau, grid or the
-package version never reuses stale results.  Writes go through an atomic
-replace; concurrent writers are not coordinated beyond that (the CLI is the
-single writer in practice).
+Hits are returned only on exact key matches.  The fingerprint is a digest of
+the package's own source files, so a report is reused only by the code that
+produced it.  Writes go through an atomic replace; concurrent writers are not
+coordinated beyond that (the CLI is the single writer in practice).
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from .linform import format_rational
 from .report import BoundReport, report_from_json_dict, report_to_json_dict
 
 
-def cache_key(s: int, tau: Fraction, grid: Fraction, version: str = __version__) -> str:
-    return f"s={s};tau={format_rational(tau)};grid={format_rational(grid)};v={version}"
+@functools.cache
+def source_fingerprint() -> str:
+    """sha256 of the package's *.py files, read once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    report: BoundReport
-    timestamp: str
+def cache_key(s: int, tau: Fraction, grid: Fraction, precision: Fraction) -> str:
+    return f"s={s};tau={tau};grid={grid};precision={precision};src={source_fingerprint()}"
 
 
 class ResultCache:
@@ -43,35 +44,21 @@ class ResultCache:
             except (json.JSONDecodeError, OSError):
                 self._entries = {}  # unreadable cache is treated as empty
 
-    def get(self, s: int, tau: Fraction, grid: Fraction) -> BoundReport | None:
-        raw = self._entries.get(cache_key(s, tau, grid))
-        if raw is None:
-            return None
-        return report_from_json_dict(raw["report"])
+    def get(
+        self, s: int, tau: Fraction, grid: Fraction, precision: Fraction
+    ) -> BoundReport | None:
+        raw = self._entries.get(cache_key(s, tau, grid, precision))
+        return None if raw is None else report_from_json_dict(raw)
 
-    def entry(self, key: str) -> CacheEntry | None:
-        raw = self._entries.get(key)
-        if raw is None:
-            return None
-        return CacheEntry(key, report_from_json_dict(raw["report"]), raw["timestamp"])
-
-    def put(self, report: BoundReport, tau: Fraction, grid: Fraction) -> CacheEntry:
-        key = cache_key(report.s, tau, grid)
-        stamp = datetime.now(timezone.utc).isoformat()
-        self._entries[key] = {
-            "report": report_to_json_dict(report),
-            "timestamp": stamp,
-        }
+    def put(self, report: BoundReport, tau: Fraction, grid: Fraction) -> None:
+        """Store under the report's own s and e_s precision."""
+        key = cache_key(report.s, tau, grid, report.e_precision)
+        self._entries[key] = report_to_json_dict(report)
         self._save()
-        return CacheEntry(key, report, stamp)
 
     def _save(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {"version": __version__, "entries": self._entries},
-            sort_keys=True,
-            indent=1,
-        )
+        payload = json.dumps({"entries": self._entries}, sort_keys=True, indent=1)
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=".cache-")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -9,9 +9,13 @@
     waldlines verify thm4 --range 11..60
     waldlines verify invariants --max-s 200
 
-Rationals on the command line are written "p" or "p/q" (e.g. --tau 1/1000).
-Exit status is 0 when every requested check passed, 1 on violations, 2 on
-usage errors.
+`bound` and `table` take --tau --grid --precision --cache --format --no-l;
+`trace-t` and `trace-l` take --tau --json; `verify` takes --tau (thm4),
+--precision (invariants), --max-s and --range.  Rationals on the command line
+are positive and written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
+Reports are cached under (s, tau, grid, precision, source fingerprint).  Exit
+status is 0 when every requested check passed, 1 on violations, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -21,43 +25,28 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, bounds, plane, report, space
 from .cache import ResultCache, default_cache_path
-from .linform import format_rational
+from .linform import as_rational
 from .reference import TABLE_S
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tau: Fraction = Fraction(1, 1000)
-    grid: Fraction = Fraction(1, 1000)
-    precision: Fraction = Fraction(1, 10**6)
-    cache_path: Path = None  # type: ignore[assignment]
-    fmt: str = "md"
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0 or self.grid <= 0 or self.precision <= 0:
-            raise ValueError("tau, grid and precision must be positive")
-        if self.cache_path is None:
-            object.__setattr__(self, "cache_path", default_cache_path())
-
-
 class InputError(ValueError):
-    """Malformed command-line literal, with position information."""
+    """Malformed or out-of-range command-line input (exit status 2)."""
 
 
-def _parse_rational_arg(text: str, *, what: str = "rational") -> Fraction:
-    s = text.strip()
-    if not re.fullmatch(r"[+-]?\d+(/\d+)?(\.\d+)?", s) or ("/" in s and "." in s):
-        raise InputError(f"invalid {what} literal {text!r}")
+def _parse_rational_arg(text: str, *, what: str) -> Fraction:
+    """A positive rational in the grammar of :func:`as_rational`."""
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"invalid {what} literal {text!r}: {exc}") from None
+        x = as_rational(text)
+    except ValueError as exc:
+        raise InputError(f"invalid {what}: {exc}") from None
+    if x <= 0:
+        raise InputError(f"{what} must be positive, got {text!r}")
+    return x
 
 
 def _rational_at(source: str, chunk: str, offset: int, what: str) -> Fraction:
@@ -93,10 +82,7 @@ def parse_t_input(text: str) -> plane.ThresholdInput:
             f"invalid line count {parts[2].strip()!r} at position"
             f" {len(parts[0]) + len(parts[1]) + 2} in {text!r}"
         )
-    try:
-        return plane.ThresholdInput(delta, tuple(qs), int(ptext))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return plane.ThresholdInput(delta, tuple(qs), int(ptext))
 
 
 def parse_l_input(text: str) -> tuple[Fraction, int]:
@@ -114,81 +100,63 @@ def parse_l_input(text: str) -> tuple[Fraction, int]:
     return delta, int(stext)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", default="1/1000", help="ordering parameter (default 1/1000)")
-    p.add_argument("--grid", default="1/1000", help="search step (default 1/1000)")
-    p.add_argument("--precision", default="1/1000000", help="root enclosure width")
-    p.add_argument("--cache", default=None, help="cache file path")
-    p.add_argument(
-        "--format", dest="fmt", choices=("csv", "json", "md"), default="md"
-    )
+def _tau(args: argparse.Namespace) -> Fraction:
+    return _parse_rational_arg(args.tau, what="tau")
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        tau=_parse_rational_arg(args.tau, what="tau"),
-        grid=_parse_rational_arg(args.grid, what="grid"),
-        precision=_parse_rational_arg(args.precision, what="precision"),
-        cache_path=Path(args.cache) if args.cache else default_cache_path(),
-        fmt=args.fmt,
-    )
-
-
-def _gather_report(s: int, cfg: RunConfig, with_l: bool) -> report.BoundReport:
-    cache = ResultCache(cfg.cache_path)
-    hit = cache.get(s, cfg.tau, cfg.grid)
-    if hit is not None and (hit.l_bound is not None or not with_l):
-        return hit
-    rep = report.build_report(s, cfg.tau, cfg.grid, cfg.precision, with_l=with_l)
-    cache.put(rep, cfg.tau, cfg.grid)
-    return rep
-
-
-def _emit_reports(reports: list[report.BoundReport], fmt: str) -> None:
-    if fmt == "json":
+def _emit_reports(s_list: list[int], args: argparse.Namespace) -> int:
+    """Print the reports of `s_list` in args.fmt, through the result cache."""
+    tau = _tau(args)
+    grid = _parse_rational_arg(args.grid, what="grid")
+    precision = _parse_rational_arg(args.precision, what="precision")
+    cache = ResultCache(Path(args.cache) if args.cache else default_cache_path())
+    with_l = not args.no_l
+    reports = []
+    for s in s_list:
+        rep = cache.get(s, tau, grid, precision)
+        if rep is None or (rep.l_bound is None and with_l):
+            rep = report.build_report(s, tau, grid, precision, with_l=with_l)
+            cache.put(rep, tau, grid)
+        reports.append(rep)
+    if args.fmt == "json":
         print(json.dumps([report.report_to_json_dict(r) for r in reports], indent=1))
-    elif fmt == "csv":
+    elif args.fmt == "csv":
         sys.stdout.write(report.reports_to_csv(reports))
     else:
         sys.stdout.write(report.reports_to_markdown(reports))
-
-
-def cmd_bound(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if args.s < 1:
-        raise InputError("s must be a positive integer")
-    rep = _gather_report(args.s, cfg, with_l=not args.no_l)
-    _emit_reports([rep], cfg.fmt)
     return 0
 
 
+def cmd_bound(args: argparse.Namespace) -> int:
+    if args.s < 1:
+        raise InputError("s must be a positive integer")
+    return _emit_reports([args.s], args)
+
+
 def cmd_table(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     try:
         s_list = [int(x) for x in args.s_list.split(",") if x.strip()]
     except ValueError:
         raise InputError(f"invalid s list {args.s_list!r}") from None
     if not s_list or any(s < 1 for s in s_list):
         raise InputError("s list must contain positive integers")
-    reports = [_gather_report(s, cfg, with_l=not args.no_l) for s in s_list]
-    _emit_reports(reports, cfg.fmt)
-    return 0
+    return _emit_reports(s_list, args)
 
 
 def cmd_trace_t(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    tau = _tau(args)
     inp = parse_t_input(args.input)
-    res = plane.quadric_threshold(inp, cfg.tau)
+    res = plane.quadric_threshold(inp, tau)
     if args.json:
         payload = {
             "input": {
-                "delta": format_rational(inp.delta),
-                "qs": [format_rational(q) for q in inp.qs],
+                "delta": str(inp.delta),
+                "qs": [str(q) for q in inp.qs],
                 "p": inp.p,
             },
-            "tau": format_rational(cfg.tau),
+            "tau": str(tau),
             "steps": [plane.step_to_json(st) for st in res.steps],
-            "t0": format_rational(res.t0),
+            "t0": str(res.t0),
         }
         print(json.dumps(payload, indent=1))
         return 0
@@ -197,19 +165,19 @@ def cmd_trace_t(args: argparse.Namespace) -> int:
         if st.k is not None:
             line += f"  k={st.k}"
         print(line)
-    print(f"t0 = {format_rational(res.t0)}")
+    print(f"t0 = {res.t0}")
     return 0
 
 
 def cmd_trace_l(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    tau = _tau(args)
     delta, s = parse_l_input(args.input)
-    res = space.certify_lower_bound(delta, s, cfg.tau)
+    res = space.certify_lower_bound(delta, s, tau)
     if args.json:
         payload = {
-            "delta": format_rational(delta),
+            "delta": str(delta),
             "s": s,
-            "tau": format_rational(cfg.tau),
+            "tau": str(tau),
             "steps": [space.step_to_json(st) for st in res.steps],
             "answer": "yes" if res.answer else "no",
         }
@@ -219,7 +187,7 @@ def cmd_trace_l(args: argparse.Namespace) -> int:
     for i, st in enumerate(res.steps[1:], start=1):
         line = f"{i:3d}. {space.format_space_system(st.system)}"
         if st.t0 is not None:
-            line += f"  t0={format_rational(st.t0)}"
+            line += f"  t0={st.t0}"
         print(line)
     print("yes" if res.answer else "no")
     return 0
@@ -236,7 +204,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    if args.max_s < 1:
+        raise InputError("--max-s must be a positive integer")
+    tau = _tau(args)
+    precision = _parse_rational_arg(args.precision, what="precision")
     failures = 0
     if args.target == "chudnovsky":
         violations = bounds.chudnovsky_verify(args.max_s)
@@ -251,7 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lo, hi = _parse_range(args.range)
         exceptions: list[int] = []
         for s in range(lo, hi + 1):
-            status = bounds.strong_sqrt_check(s, cfg.tau)
+            status = bounds.strong_sqrt_check(s, tau)
             mark = "ok" if status.holds else ("exception" if status.method == "known-exception" else "FAIL")
             if not status.holds and status.method == "known-exception":
                 exceptions.append(s)
@@ -263,11 +234,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f" (range {lo}..{hi}, exceptions: {exceptions or 'none'})"
         )
     else:
-        failures = _verify_invariants(args.max_s, cfg)
+        failures = _verify_invariants(args.max_s, precision)
     return 0 if failures == 0 else 1
 
 
-def _verify_invariants(max_s: int, cfg: RunConfig) -> int:
+def _verify_invariants(max_s: int, precision: Fraction) -> int:
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -291,8 +262,8 @@ def _verify_invariants(max_s: int, cfg: RunConfig) -> int:
     )
     ok = True
     for s in range(1, max_s + 1):
-        root = bounds.largest_root(bounds.AsymptoticCubic(s), cfg.precision)
-        top = root.hi + cfg.precision
+        root = bounds.largest_root(bounds.AsymptoticCubic(s), precision)
+        top = root.hi + precision
         if not all(
             Fraction(v) <= top
             for v in (sq[s - 1], rt[s - 1], dg[s - 1], bounds.chudnovsky_bound(s))
@@ -318,35 +289,38 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="all bounds for one s")
+    tau = argparse.ArgumentParser(add_help=False)
+    tau.add_argument("--tau", default="1/1000", help="ordering parameter (default 1/1000)")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", default="1/1000000", help="root enclosure width")
+    reports = argparse.ArgumentParser(add_help=False, parents=[tau, precision])
+    reports.add_argument("--grid", default="1/1000", help="search step (default 1/1000)")
+    reports.add_argument("--cache", default=None, help="cache file path")
+    reports.add_argument("--format", dest="fmt", choices=("csv", "json", "md"), default="md")
+    reports.add_argument("--no-l", action="store_true", help="skip the search bound")
+    traces = argparse.ArgumentParser(add_help=False, parents=[tau])
+    traces.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("bound", parents=[reports], help="all bounds for one s")
     p.add_argument("s", type=int)
-    p.add_argument("--no-l", action="store_true", help="skip the search bound")
-    _add_common(p)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("table", help="bound table for a comma-separated s list")
+    p = sub.add_parser("table", parents=[reports], help="bound table for a comma-separated s list")
     p.add_argument("s_list", metavar="s1,s2,...", nargs="?", default=",".join(map(str, TABLE_S)))
-    p.add_argument("--no-l", action="store_true", help="skip the search bounds")
-    _add_common(p)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("trace-t", help='plane-reduction trace, input "delta;q1,..;p"')
+    p = sub.add_parser("trace-t", parents=[traces], help='plane-reduction trace, input "delta;q1,..;p"')
     p.add_argument("input")
-    p.add_argument("--json", action="store_true")
-    _add_common(p)
     p.set_defaults(func=cmd_trace_t)
 
-    p = sub.add_parser("trace-l", help='degeneration trace, input "delta;s"')
+    p = sub.add_parser("trace-l", parents=[traces], help='degeneration trace, input "delta;s"')
     p.add_argument("input")
-    p.add_argument("--json", action="store_true")
-    _add_common(p)
     p.set_defaults(func=cmd_trace_l)
 
-    p = sub.add_parser("verify", help="exact verification sweeps")
+    p = sub.add_parser("verify", parents=[tau, precision], help="exact verification sweeps")
     p.add_argument("target", choices=("chudnovsky", "thm4", "invariants"))
-    p.add_argument("--max-s", type=int, default=1000)
+    p.add_argument("--max-s", type=int, default=1000, help="largest s (chudnovsky, invariants)")
     p.add_argument("--range", default="11..60", help="s range for thm4, e.g. 11..60")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     return ap

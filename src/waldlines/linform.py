@@ -16,26 +16,30 @@ from typing import Union
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# The one rational-literal grammar: "p", "p/q" or "p.d".  The unsigned part
+# also serves as a linear-form coefficient.
+_UNSIGNED = r"\d+(?:/\d+|\.\d+)?"
+_RATIONAL_RE = re.compile(rf"[+-]?{_UNSIGNED}")
 
 
 def as_rational(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or "p"/"p/q" string to an exact Fraction."""
+    """Coerce an int, Fraction or "p"/"p/q"/"p.d" string to an exact Fraction.
+
+    Malformed literals, zero denominators included, raise ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         s = x.strip()
-        if not _RATIONAL_RE.match(s):
+        if not _RATIONAL_RE.fullmatch(s):
             raise ValueError(f"not a rational literal: {x!r}")
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational literal: {x!r}") from None
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
-
-
-def format_rational(x: Fraction) -> str:
-    """Render as "p" or "p/q" (lowest terms, positive denominator)."""
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -52,12 +56,6 @@ class LinForm:
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact value a + b*x."""
         return self.a + self.b * as_rational(x)
-
-    def root(self) -> Fraction | None:
-        """The zero -a/b of the form, or None for constants (b = 0)."""
-        if self.b == 0:
-            return None
-        return -self.a / self.b
 
     def __add__(self, other: "LinForm") -> "LinForm":
         return LinForm(self.a + other.a, self.b + other.b)
@@ -78,37 +76,17 @@ class LinForm:
         return format_linform(self)
 
     @classmethod
-    def parse(cls, text: str) -> "LinForm":
-        return parse_linform(text)
-
-    @classmethod
     def const(cls, x: RationalLike) -> "LinForm":
         return cls(as_rational(x), Fraction(0))
 
 
-def tau_compare(f: LinForm, g: LinForm, tau: RationalLike) -> int:
-    """Sign of f(tau) - g(tau): -1, 0 or +1.
-
-    This is the total preorder used to sort multiplicities; polynomially
-    distinct forms may compare equal at a particular tau.
-    """
-    d = f(tau) - g(tau)
-    return (d > 0) - (d < 0)
-
-
-def tau_sort_key(f: LinForm, tau: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Sort key (value at tau, a, b); the coefficient pair is a deterministic
-    tiebreak between tau-equal but polynomially distinct forms."""
-    return (f(tau), f.a, f.b)
-
-
-_COEFF = r"\d+(?:/\d+)?"
-_PURE_T_RE = re.compile(rf"^(?P<sign>[+-]?)(?P<b>{_COEFF})?t$")
-_FULL_RE = re.compile(rf"^(?P<a>[+-]?{_COEFF})(?P<sign>[+-])(?P<b>{_COEFF})?t$")
+_PURE_T_RE = re.compile(rf"(?P<sign>[+-]?)(?P<b>{_UNSIGNED})?t")
+_FULL_RE = re.compile(rf"(?P<a>[+-]?{_UNSIGNED})(?P<sign>[+-])(?P<b>{_UNSIGNED})?t")
 
 
 def parse_linform(text: str) -> LinForm:
-    """Parse "a", "bt" or "a+bt"/"a-bt" with rational coefficients.
+    """Parse "a", "bt" or "a+bt"/"a-bt" with coefficients in the grammar of
+    :func:`as_rational`.
 
     Accepts the same grammar the trace output uses, e.g. "6-2t", "3t", "7",
     "-8+141t", "t", "-t", "3/5045".
@@ -118,20 +96,12 @@ def parse_linform(text: str) -> LinForm:
         raise ValueError("empty linear-form literal")
     if "t" not in s:
         return LinForm(as_rational(s))
-    m = _PURE_T_RE.match(s)
-    if m:
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-        if m.group("sign") == "-":
-            b = -b
-        return LinForm(Fraction(0), b)
-    m = _FULL_RE.match(s)
-    if m:
-        a = Fraction(m.group("a"))
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-        if m.group("sign") == "-":
-            b = -b
-        return LinForm(a, b)
-    raise ValueError(f"not a linear-form literal: {text!r}")
+    m = _PURE_T_RE.fullmatch(s) or _FULL_RE.fullmatch(s)
+    if not m:
+        raise ValueError(f"not a linear-form literal: {text!r}")
+    a = as_rational(m.group("a")) if "a" in m.groupdict() else Fraction(0)
+    b = as_rational(m.group("b") or 1)
+    return LinForm(a, -b if m.group("sign") == "-" else b)
 
 
 def format_linform(f: LinForm) -> str:

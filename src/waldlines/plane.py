@@ -74,14 +74,6 @@ class PlaneSystem:
         return cls(degree, _squeeze(_as_group_list(mults)))
 
     @property
-    def mults(self) -> tuple[LinForm, ...]:
-        """Expanded multiplicity list (use sparingly for large systems)."""
-        out: list[LinForm] = []
-        for lf, n in self.groups:
-            out.extend([lf] * n)
-        return tuple(out)
-
-    @property
     def mult_count(self) -> int:
         return sum(n for _, n in self.groups)
 
@@ -323,15 +315,26 @@ def quadric_threshold(
                 need -= take
                 if need == 0:
                     break
-        if ka is not None and ka * td + kb * tn < 0:
-            if want_trace:
-                steps.append(
-                    ReductionStep(
-                        _unscale(D, deg_a, deg_b, groups),
-                        LinForm(Fraction(ka, D), Fraction(kb, D)),
-                        Move.CREMONA,
-                    )
+        # Plain locals pick the move: an enum lookup per step would be
+        # measurable on the untraced path.
+        cremona = ka is not None and ka * td + kb * tn < 0
+        merge_at = -1
+        if not cremona:
+            for i, g in enumerate(groups):
+                if g[2] >= 4:
+                    merge_at = i
+                    break
+        if want_trace:
+            steps.append(
+                ReductionStep(
+                    _unscale(D, deg_a, deg_b, groups),
+                    None if ka is None else LinForm(Fraction(ka, D), Fraction(kb, D)),
+                    Move.CREMONA if cremona
+                    else Move.MERGE if merge_at >= 0
+                    else Move.TERMINATE,
                 )
+            )
+        if cremona:
             deg_a += ka
             deg_b += kb
             new_groups: list[list[int]] = []
@@ -344,40 +347,15 @@ def quadric_threshold(
                     new_groups.append([a, b, n - take])
                 need -= take
             groups = norm(new_groups)
-            continue
-        merged = False
-        for i, (a, b, n) in enumerate(groups):
-            if n >= 4:
-                if want_trace:
-                    steps.append(
-                        ReductionStep(
-                            _unscale(D, deg_a, deg_b, groups),
-                            None
-                            if ka is None
-                            else LinForm(Fraction(ka, D), Fraction(kb, D)),
-                            Move.MERGE,
-                        )
-                    )
-                rest = [list(g) for g in groups]
-                if n - 4 > 0:
-                    rest[i][2] = n - 4
-                else:
-                    del rest[i]
-                rest.append([2 * a, 2 * b, 1])
-                groups = norm(rest)
-                merged = True
-                break
-        if merged:
-            continue
-        if want_trace:
-            steps.append(
-                ReductionStep(
-                    _unscale(D, deg_a, deg_b, groups),
-                    None if ka is None else LinForm(Fraction(ka, D), Fraction(kb, D)),
-                    Move.TERMINATE,
-                )
-            )
-        break
+        elif merge_at >= 0:
+            a, b, n = groups[merge_at]
+            # norm sorts and joins equal runs, so the order of rest is free
+            rest = groups[:merge_at] + groups[merge_at + 1:] + [[2 * a, 2 * b, 1]]
+            if n > 4:
+                rest.append([a, b, n - 4])
+            groups = norm(rest)
+        else:
+            break
     else:
         raise IterationLimitError(
             f"plane reduction exceeded {max_steps} steps for input {inp}"
@@ -412,8 +390,11 @@ def replay_reduction(inp: ThresholdInput, steps: Sequence[ReductionStep], tau: R
             nxt = apply_cremona(current, step.k)
             if nxt.degree - current.degree != step.k:
                 raise AssertionError(f"step {i}: degree change is not k")
+            counts: dict[LinForm, int] = {}
+            for lf, n in nxt.groups:
+                counts[lf] = counts.get(lf, 0) + n
             changed = current.mult_count - sum(
-                min(n, dict_count(nxt.groups).get(lf, 0)) for lf, n in current.groups
+                min(n, counts.get(lf, 0)) for lf, n in current.groups
             )
             if changed > 3:
                 raise AssertionError(f"step {i}: more than three multiplicities changed")
@@ -426,13 +407,6 @@ def replay_reduction(inp: ThresholdInput, steps: Sequence[ReductionStep], tau: R
         else:
             if i != len(steps) - 1:
                 raise AssertionError(f"step {i}: terminate before end of trace")
-
-
-def dict_count(groups: Groups) -> dict[LinForm, int]:
-    out: dict[LinForm, int] = {}
-    for lf, n in groups:
-        out[lf] = out.get(lf, 0) + n
-    return out
 
 
 def format_system(sys: PlaneSystem) -> str:

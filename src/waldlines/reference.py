@@ -1,8 +1,9 @@
 """Published comparison values used to cross-check computed bounds.
 
-The dictionaries below hold the externally published table of bounds for
-s = 10, 20, 50, 100, 200, 300, 400, 500 that this package reproduces.  They
-are reference data for reports and tests, never inputs to any computation.
+The layout of the externally published table of bounds that this package
+reproduces (its row keys and its columns s = 10, 20, 50, 100, 200, 300, 400,
+500), and its Chudnovsky row, which reports compare against.  None of it is
+an input to any computation.
 
 Known mismatch: the published Chudnovsky row gives 6 at s = 20, while the
 condition-count derivation implemented here yields alpha_max(20) = 9 and
@@ -36,41 +37,4 @@ REFERENCE_CHUD: dict[int, Fraction] = {
     300: Fraction(41, 2),
     400: Fraction(24),
     500: Fraction(27),
-}
-
-REFERENCE_SQRT_ROW: dict[int, int] = {
-    10: 4, 20: 6, 50: 9, 100: 14, 200: 19, 300: 24, 400: 28, 500: 31,
-}
-
-REFERENCE_SQUARE_ROW: dict[int, int] = {
-    10: 4, 20: 6, 50: 10, 100: 14, 200: 20, 300: 24, 400: 28, 500: 31,
-}
-
-REFERENCE_DEGENERATION_ROW: dict[int, int] = {
-    10: 4, 20: 6, 50: 10, 100: 15, 200: 22, 300: 27, 400: 31, 500: 35,
-}
-
-# Published search results for the degeneration-loop bound; reproduced here
-# only up to a small tolerance (the tau/grid used to produce them is not
-# recorded, and this implementation's search lands within a few thousandths).
-REFERENCE_L_ROW: dict[int, Fraction] = {
-    10: Fraction("4.807"),
-    20: Fraction("7.072"),
-    50: Fraction("11.570"),
-    100: Fraction("16.636"),
-    200: Fraction("23.8"),
-    300: Fraction("29.301"),
-    400: Fraction("33.938"),
-    500: Fraction("38.022"),
-}
-
-REFERENCE_ES_ROW: dict[int, Fraction] = {
-    10: Fraction("5.107"),
-    20: Fraction("7.388"),
-    50: Fraction("11.899"),
-    100: Fraction("16.977"),
-    200: Fraction("24.154"),
-    300: Fraction("29.660"),
-    400: Fraction("34.302"),
-    500: Fraction("38.392"),
 }

@@ -21,7 +21,7 @@ from .bounds import (
     sqrt_lower_bound,
 )
 from .cubic import AsymptoticCubic, RootBracket, largest_root
-from .linform import as_rational, format_rational
+from .linform import as_rational
 from .space import best_bound
 
 FLAG_STRONG_BOUND_EXCEPTION = (
@@ -31,8 +31,8 @@ FLAG_STRONG_BOUND_EXCEPTION = (
 
 def chud_discrepancy_flag(computed: Fraction, published: Fraction) -> str:
     return (
-        f"chudnovsky-reference-mismatch: derived {format_rational(computed)}"
-        f" but the published table prints {format_rational(published)}"
+        f"chudnovsky-reference-mismatch: derived {computed}"
+        f" but the published table prints {published}"
     )
 
 
@@ -104,16 +104,16 @@ def report_to_json_dict(r: BoundReport) -> dict:
     places = decimal_places(r.e_precision)
     return {
         "s": r.s,
-        "thm_chud": format_rational(r.chud),
+        "thm_chud": str(r.chud),
         "thm_approach1": r.sqrt_bound,
         "thm_approach1alg": r.square_bound,
         "thm_approach2alg": r.degeneration_bound,
-        "algorithm_L": None if r.l_bound is None else format_rational(r.l_bound),
+        "algorithm_L": None if r.l_bound is None else str(r.l_bound),
         "e_s": {
             "decimal": decimal_str(r.e_root.midpoint, places),
-            "lo": format_rational(r.e_root.lo),
-            "hi": format_rational(r.e_root.hi),
-            "precision": format_rational(r.e_precision),
+            "lo": str(r.e_root.lo),
+            "hi": str(r.e_root.hi),
+            "precision": str(r.e_precision),
         },
         "flags": list(r.flags),
     }

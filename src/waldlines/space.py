@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubic import AsymptoticCubic, largest_root
-from .linform import RationalLike, as_rational, format_rational
+from .linform import RationalLike, as_rational
 from .plane import (
     DEFAULT_MAX_STEPS,
     IterationLimitError,
@@ -84,19 +84,6 @@ class DegenerationResult:
         return self.steps[-1].system
 
 
-def restrict_to_quadric(
-    delta: RationalLike, specialized: tuple[Fraction, ...] | list[Fraction], p: int
-) -> ThresholdInput:
-    """Package a space system for the plane reduction.
-
-    The associated plane system of the result is the t-parametrized trace of
-    the space system on the quadric: at t = 0 it is
-    (2d - mu; d, d - mu, 1^(2p)) with mu the sum of the specialized
-    multiplicities.
-    """
-    return ThresholdInput(as_rational(delta), tuple(specialized), p)
-
-
 def _exit_yes(sys: SpaceSystem) -> bool:
     if sys.delta <= 0:
         return True
@@ -132,7 +119,7 @@ def certify_lower_bound(
             steps.append(DegenerationStep(sys, None, LMove.TERMINATE_YES))
             return DegenerationResult(True, tuple(steps))
         t0 = quadric_threshold(
-            restrict_to_quadric(sys.delta, sys.specialized, sys.p),
+            ThresholdInput(sys.delta, sys.specialized, sys.p),
             tau,
             max_steps=max_steps,
             want_trace=False,
@@ -223,7 +210,7 @@ def best_bound(
 
 def format_space_system(sys: SpaceSystem) -> str:
     """One-line rendering, e.g. "(10096/5045; 3/5045,3/5045,3/5045 | 1^5)"."""
-    spec = ",".join(format_rational(q) for q in sys.specialized)
+    spec = ",".join(str(q) for q in sys.specialized)
     if spec:
         spec += " "
     if sys.p == 0:
@@ -232,14 +219,14 @@ def format_space_system(sys: SpaceSystem) -> str:
         gen = "1"
     else:
         gen = f"1^{sys.p}"
-    return f"({format_rational(sys.delta)}; {spec}| {gen})"
+    return f"({sys.delta}; {spec}| {gen})"
 
 
 def step_to_json(step: DegenerationStep) -> dict:
     return {
-        "delta": format_rational(step.system.delta),
-        "specialized": [format_rational(q) for q in step.system.specialized],
+        "delta": str(step.system.delta),
+        "specialized": [str(q) for q in step.system.specialized],
         "p": step.system.p,
-        "t0": None if step.t0 is None else format_rational(step.t0),
+        "t0": None if step.t0 is None else str(step.t0),
         "move": step.move.value,
     }

@@ -5,6 +5,7 @@ import pytest
 
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
+from waldlines.linform import as_rational, parse_linform
 from waldlines.plane import ThresholdInput
 
 
@@ -41,6 +42,49 @@ class TestInputParsing:
     def test_error_reports_position(self):
         with pytest.raises(InputError, match="position"):
             parse_t_input("7;1,x,1;15")
+
+
+# Every reader of rational literals shares one grammar, "p", "p/q" or "p.d":
+# literal -> its value, or None when the grammar rejects it.
+LITERALS = {
+    "3": F(3),
+    "-3/4": F(-3, 4),
+    "0.001": F(1, 1000),
+    "7.069": F(7069, 1000),
+    "1/0": None,
+    "1.5/2": None,
+    ".5": None,
+    "1e3": None,
+    " 2 ": F(2),
+}
+
+
+def _tau_via_cli(capsys, literal: str) -> F:
+    code, out, err = run(capsys, "trace-t", "7;1,1,1,1,1;15", "--json", f"--tau={literal}")
+    if code != 0:
+        assert code == 2 and err.startswith("error:"), (code, err)
+        raise InputError(err)
+    return F(json.loads(out)["tau"])
+
+
+class TestRationalGrammar:
+    @pytest.mark.parametrize("literal", sorted(LITERALS))
+    def test_one_grammar(self, capsys, literal):
+        def check(read, want):
+            if want is None:
+                with pytest.raises(ValueError):  # InputError is a ValueError
+                    read(literal)
+            else:
+                assert read(literal) == want
+
+        want = LITERALS[literal]
+        check(as_rational, want)
+        check(lambda x: parse_linform(x).a, want)
+        check(lambda x: parse_linform(x + "t").b, want)
+        # The CLI reads only positive rationals, so it also rejects -3/4.
+        cli_want = want if want is not None and want > 0 else None
+        check(lambda x: _tau_via_cli(capsys, x), cli_want)
+        check(lambda x: parse_t_input(f"{x};1;2").delta, cli_want)
 
 
 class TestTraceT:
@@ -149,6 +193,50 @@ class TestBoundAndTable:
         code, _, err = run(capsys, "bound", "0", "--no-l", "--cache", str(tmp_path / "c.json"))
         assert code == 2
         assert "positive" in err
+
+    def test_cache_key_includes_precision(self, capsys, tmp_path):
+        cache = str(tmp_path / "c.json")
+        argv = ["bound", "10", "--no-l", "--format", "json", "--cache", cache]
+        _, coarse, _ = run(capsys, *argv, "--precision", "1/10")
+        _, fine, _ = run(capsys, *argv)
+        for out, width in ((coarse, F(1, 10)), (fine, F(1, 10**6))):
+            e_s = json.loads(out)[0]["e_s"]
+            assert F(e_s["hi"]) - F(e_s["lo"]) <= width
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "3", "--no-l", "--tau", "0"],
+            ["bound", "3", "--no-l", "--grid=-1/2"],
+            ["table", "3", "--no-l", "--precision", "0"],
+            ["trace-l", "4;8", "--tau", "0"],
+            ["trace-l", "0;8"],
+            ["verify", "chudnovsky", "--max-s", "0"],
+            ["verify", "invariants", "--max-s", "0"],
+        ],
+    )
+    def test_out_of_range_values_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("WALDLINES_CACHE", str(tmp_path / "c.json"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace-t", "7;1,1,1,1,1;15", "--grid", "1/7"],
+            ["trace-l", "4;8", "--format", "csv"],
+            ["verify", "thm4", "--cache", "x.json"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:

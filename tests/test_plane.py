@@ -63,6 +63,13 @@ class TestNormalize:
         sys = PlaneSystem.of(lf("5"), [lf("1"), LinForm(F(-1, 1000), F(1))])
         assert normalize(sys, TAU) == ps("L2(5; 1)")
 
+    def test_tau_tie_broken_by_coefficients(self):
+        # 1 + 1000t equals 2 at tau = 1/1000: the forms keep separate runs,
+        # ordered by (value at tau, a, b) whatever the input order
+        for mults in ([lf("1+1000t"), lf("2")], [lf("2"), lf("1+1000t")]):
+            sys = normalize(PlaneSystem.of(lf("5"), mults), TAU)
+            assert sys.groups == ((lf("2"), 1), (lf("1+1000t"), 1))
+
     def test_merges_equal_runs_across_groups(self):
         sys = PlaneSystem.of(lf("5"), [lf("7t"), lf("1"), lf("7t")])
         assert normalize(sys, TAU).groups == ((lf("1"), 1), (lf("7t"), 2))

@@ -1,7 +1,8 @@
 import json
 from fractions import Fraction as F
 
-from waldlines.cache import ResultCache, cache_key
+from waldlines import cache
+from waldlines.cache import ResultCache, cache_key, source_fingerprint
 from waldlines.report import (
     build_report,
     decimal_places,
@@ -95,7 +96,7 @@ class TestCache:
         path = tmp_path / "cache.json"
         r = quick_report(10)
         ResultCache(path).put(r, TAU, GRID)
-        got = ResultCache(path).get(10, TAU, GRID)
+        got = ResultCache(path).get(10, TAU, GRID, EPS)
         assert got is not None
         assert json.dumps(report_to_json_dict(got), sort_keys=True) == json.dumps(
             report_to_json_dict(r), sort_keys=True
@@ -105,21 +106,24 @@ class TestCache:
         path = tmp_path / "cache.json"
         cache = ResultCache(path)
         cache.put(quick_report(10), TAU, GRID)
-        assert ResultCache(path).get(10, F(1, 500), GRID) is None
-        assert ResultCache(path).get(10, TAU, F(1, 500)) is None
-        assert ResultCache(path).get(11, TAU, GRID) is None
+        assert ResultCache(path).get(10, F(1, 500), GRID, EPS) is None
+        assert ResultCache(path).get(10, TAU, F(1, 500), EPS) is None
+        assert ResultCache(path).get(10, TAU, GRID, F(1, 10)) is None
+        assert ResultCache(path).get(11, TAU, GRID, EPS) is None
 
-    def test_key_carries_version(self):
-        key = cache_key(10, TAU, GRID, version="9.9.9")
-        assert key == "s=10;tau=1/1000;grid=1/1000;v=9.9.9"
+    def test_key_carries_version(self, tmp_path, monkeypatch):
+        fingerprint = source_fingerprint()
+        assert len(fingerprint) == 16 and set(fingerprint) <= set("0123456789abcdef")
+        assert cache_key(10, TAU, GRID, EPS) == (
+            f"s=10;tau=1/1000;grid=1/1000;precision=1/1000000;src={fingerprint}"
+        )
+        # a report cached by other source code is never served
+        path = tmp_path / "cache.json"
+        ResultCache(path).put(quick_report(10), TAU, GRID)
+        monkeypatch.setattr(cache, "source_fingerprint", lambda: "0" * 16)
+        assert ResultCache(path).get(10, TAU, GRID, EPS) is None
 
     def test_unreadable_cache_is_empty(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("{not json")
-        assert ResultCache(path).get(10, TAU, GRID) is None
-
-    def test_entry_metadata(self, tmp_path):
-        path = tmp_path / "cache.json"
-        entry = ResultCache(path).put(quick_report(10), TAU, GRID)
-        again = ResultCache(path).entry(entry.key)
-        assert again is not None and again.timestamp == entry.timestamp
+        assert ResultCache(path).get(10, TAU, GRID, EPS) is None

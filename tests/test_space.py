@@ -10,20 +10,15 @@ from waldlines.space import (
     certify_lower_bound,
     format_space_system,
     replay_degeneration,
-    restrict_to_quadric,
 )
 
 TAU = F(1, 1000)
 
 
 class TestRestrictToQuadric:
-    def test_packs_the_data(self):
-        inp = restrict_to_quadric(F(7), (F(1),) * 5, 15)
-        assert inp == ThresholdInput(F(7), (F(1),) * 5, 15)
-
     def test_plane_data_at_zero(self):
         # at t = 0 the associated system is (2d - mu; d, d - mu, 1^(2p))
-        inp = restrict_to_quadric(F(7), (F(1),) * 5, 15)
+        inp = ThresholdInput(F(7), (F(1),) * 5, 15)
         sys = associate_system(inp)
         assert sys.degree(0) == 9
         vals = [lf(0) for lf, n in sys.groups for _ in range(min(n, 2))]
@@ -31,13 +26,13 @@ class TestRestrictToQuadric:
         assert sys.mult_count == 2 + 30
 
     def test_empty_specialization(self):
-        sys = associate_system(restrict_to_quadric(F(5), (), 0))
+        sys = associate_system(ThresholdInput(F(5), (), 0))
         assert sys.degree.a == 10 and sys.degree.b == -4
         assert sys.groups == ((sys.groups[0][0], 2),)
         assert sys.groups[0][0].a == 5 and sys.groups[0][0].b == -2
 
     def test_feeds_reduction(self):
-        inp = restrict_to_quadric(F(4), (F(1),) * 3, 5)
+        inp = ThresholdInput(F(4), (F(1),) * 3, 5)
         assert quadric_threshold(inp, TAU).t0 == F(4, 7)
 
 
