@@ -3,8 +3,9 @@ precision, source fingerprint).
 
 Hits are returned only on exact key matches.  The fingerprint is a digest of
 the package's own source files, so a report is reused only by the code that
-produced it.  Writes go through an atomic replace; concurrent writers are not
-coordinated beyond that (the CLI is the single writer in practice).
+produced it, and each write drops the entries of every other fingerprint.
+Writes go through an atomic replace; concurrent writers are not coordinated
+beyond that (the CLI is the single writer in practice).
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ class ResultCache:
         return None if raw is None else report_from_json_dict(raw)
 
     def put(self, report: BoundReport, tau: Fraction, grid: Fraction) -> None:
-        """Store under the report's own s and e_s precision."""
+        """Store under the report's own s and e_s precision, dropping every
+        entry written by other source code."""
+        current = f";src={source_fingerprint()}"
+        self._entries = {k: v for k, v in self._entries.items() if k.endswith(current)}
         key = cache_key(report.s, tau, grid, report.e_precision)
         self._entries[key] = report_to_json_dict(report)
         self._save()

@@ -1,7 +1,7 @@
 """Command line interface.
 
     waldlines bound 10                     all bounds for s = 10
-    waldlines bound 10 --no-l              skip the (slow) search bound
+    waldlines bound 10 --no-l              skip the search bound
     waldlines trace-t "7;1,1,1,1,1;15"     plane-reduction trace
     waldlines trace-l "4;8"                degeneration trace
     waldlines table 10,20,50 --format csv  bound table for several s

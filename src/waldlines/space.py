@@ -188,11 +188,19 @@ def best_bound(
 ) -> Fraction:
     """Largest grid multiple delta > 1 certified by the degeneration loop.
 
-    Scans delta downward from the conjectural upper bound (the largest root
-    of t^3 - 3st + 2s, rounded up to the grid) in steps of ``grid`` and
-    returns the first certified value, or 0 when no grid point above 1 is
-    certified.  Each returned value is individually certified, so soundness
-    does not depend on the certified region being an interval.
+    Bisects over grid indices between 1 and the conjectural upper bound (the
+    largest root of t^3 - 3st + 2s, rounded up to the grid).  The index just
+    below the range stands for a "yes" and the one just above for a "no";
+    every midpoint is one ``certify_lower_bound`` run.  The result is a
+    certified delta whose successor delta + grid is not certified, or 0 when
+    no probed grid point above 1 is certified.
+
+    When the certified grid points form a down-set (no "no" below a "yes"),
+    this is the largest certified grid point, i.e. what a downward scan
+    from the upper bound returns, in O(log) probes instead of one per grid
+    point.  Only values that were actually certified are returned, so
+    soundness does not depend on that premise; a hole would only make the
+    result smaller than the scan's.
     """
     tau = as_rational(tau)
     grid = as_rational(grid)
@@ -200,12 +208,16 @@ def best_bound(
         raise ValueError("grid must be positive")
     root = largest_root(AsymptoticCubic(s), min(grid, Fraction(1, 1000)))
     assert root is not None  # k = 0 cubics always have a root >= 1
-    delta = -(-root.hi // grid) * grid  # ceil to the grid
-    while delta > 1:
-        if certify_lower_bound(delta, s, tau, max_steps=max_steps).answer:
-            return delta
-        delta -= grid
-    return Fraction(0)
+    lo = 1 // grid  # virtual "yes": lo * grid <= 1
+    hi = -(-root.hi // grid) + 1  # virtual "no": one past ceil to the grid
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certify_lower_bound(mid * grid, s, tau, max_steps=max_steps).answer:
+            lo = mid
+        else:
+            hi = mid
+    delta = lo * grid
+    return delta if delta > 1 else Fraction(0)
 
 
 def format_space_system(sys: SpaceSystem) -> str:

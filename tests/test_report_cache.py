@@ -123,6 +123,19 @@ class TestCache:
         monkeypatch.setattr(cache, "source_fingerprint", lambda: "0" * 16)
         assert ResultCache(path).get(10, TAU, GRID, EPS) is None
 
+    def test_put_drops_other_sources(self, tmp_path):
+        path = tmp_path / "cache.json"
+        blob = report_to_json_dict(quick_report(10))
+        current = cache_key(11, TAU, GRID, EPS)
+        path.write_text(json.dumps({"entries": {
+            "s=10;tau=1/1000;grid=1/1000;v=0.1.0": blob,
+            f"s=10;tau=1/1000;grid=1/1000;precision=1/1000000;src={'0' * 16}": blob,
+            current: blob,
+        }}))
+        ResultCache(path).put(quick_report(10), TAU, GRID)
+        entries = json.loads(path.read_text())["entries"]
+        assert sorted(entries) == sorted([current, cache_key(10, TAU, GRID, EPS)])
+
     def test_unreadable_cache_is_empty(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("{not json")

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from waldlines import space
+from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import ThresholdInput, associate_system, quadric_threshold
 from waldlines.space import (
     LMove,
@@ -13,6 +16,32 @@ from waldlines.space import (
 )
 
 TAU = F(1, 1000)
+
+# best_bound(s, 1/1000, 1/1000), as returned by the downward scan; the
+# acceptance test C6 pins the same values.
+PINNED_BEST = {
+    7: F(3833, 1000),
+    10: F(2397, 500),
+    20: F(7069, 1000),
+    50: F(11569, 1000),
+}
+
+
+def upper_index(s: int, grid: F) -> int:
+    """Index of the conjectural upper bound e_s rounded up to the grid."""
+    root = largest_root(AsymptoticCubic(s), min(grid, F(1, 1000)))
+    return -(-root.hi // grid)
+
+
+def scan_best_bound(s: int, tau: F, grid: F) -> F:
+    """Oracle for best_bound: the first certified grid point scanning
+    downward from e_s (rounded up to the grid) to 1, else 0."""
+    delta = upper_index(s, grid) * grid
+    while delta > 1:
+        if certify_lower_bound(delta, s, tau).answer:
+            return delta
+        delta -= grid
+    return F(0)
 
 
 class TestRestrictToQuadric:
@@ -138,6 +167,43 @@ class TestBestBound:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             best_bound(5, TAU, F(0))
+
+    @pytest.mark.parametrize("s", range(2, 15))
+    def test_bisection_equals_scan(self, s):
+        assert best_bound(s, TAU, TAU) == scan_best_bound(s, TAU, TAU)
+
+    def test_probe_count_is_logarithmic(self, monkeypatch):
+        probes = []
+
+        def counted(delta, *args, **kwargs):
+            probes.append(delta)
+            return certify_lower_bound(delta, *args, **kwargs)
+
+        monkeypatch.setattr(space, "certify_lower_bound", counted)
+        assert best_bound(7, TAU, TAU) == PINNED_BEST[7]
+        assert len(set(probes)) == len(probes)
+        assert len(probes) <= (upper_index(7, TAU) - 1 // TAU + 1).bit_length()
+
+    @pytest.mark.parametrize("grid", [F(1, 7), F(3, 10), F(1, 3), F(2)])
+    def test_odd_grids_equal_scan(self, grid):
+        # 3/10 and 2 do not divide 1; s = 1 certifies nothing above 1
+        got = {s: best_bound(s, TAU, grid) for s in range(1, 9)}
+        assert got == {s: scan_best_bound(s, TAU, grid) for s in range(1, 9)}
+        assert got[1] == 0
+        assert all(type(v) is F for v in got.values())
+
+    @pytest.mark.parametrize("s, samples", [(20, 25), (50, 10)])
+    def test_down_set_audit(self, s, samples):
+        # too slow to scan here: probe the pinned value +-3 grid points and a
+        # seeded sample of (1, e_s]; "yes" must hold exactly up to the value
+        value = PINNED_BEST[s]
+        rng = random.Random(s)
+        start = int(value / TAU)
+        points = set(range(start - 3, start + 4))
+        points |= set(rng.sample(range(1 // TAU + 1, upper_index(s, TAU) + 1), samples))
+        for k in sorted(points):
+            delta = k * TAU
+            assert certify_lower_bound(delta, s, TAU).answer is (delta <= value), delta
 
 
 class TestFormat:
