@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubic import AsymptoticCubic, RootBracket, largest_root
+# Outside __all__: cli.py calls bounds.largest_root(bounds.AsymptoticCubic(s), ...).
+from .cubic import AsymptoticCubic, largest_root
 from .linform import RationalLike, as_rational
 from .space import certify_lower_bound
 
@@ -44,9 +45,6 @@ __all__ = [
     "strong_bound_closed_form_ok",
     "strong_sqrt_check",
     "STRONG_BOUND_EXCEPTIONS",
-    "AsymptoticCubic",
-    "RootBracket",
-    "largest_root",
 ]
 
 

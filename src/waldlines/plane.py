@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -118,7 +119,7 @@ class ThresholdInput:
         object.__setattr__(self, "qs", tuple(as_rational(q) for q in self.qs))
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if any(q <= 0 for q in self.qs):
+        if any(q.numerator <= 0 for q in self.qs):  # a Fraction has its numerator's sign
             raise ValueError("specialized multiplicities must be positive")
         if self.p < 0:
             raise ValueError("p must be nonnegative")
@@ -232,17 +233,19 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 
 def _scaled_groups(inp: ThresholdInput) -> tuple[int, int, int, list[list[int]]]:
-    """Integer form of the associated system, scaled by the lcm D of all
-    input denominators: returns (D, deg_a, deg_b, groups) with groups entries
-    [a, b, count].  Scaling a system uniformly changes no comparison and no
+    """Integer form of the associated system, scaled by the lcm D of the
+    denominators of delta and of q = sum(q_j): returns (D, deg_a, deg_b,
+    groups) with groups entries [a, b, count].  The system depends on the
+    q_j only through q, and scaling it uniformly changes no comparison and no
     root, so the reduction may run entirely in integer arithmetic.
     """
-    D = math.lcm(inp.delta.denominator, *(q.denominator for q in inp.qs)) if inp.qs else inp.delta.denominator
-    delta = inp.delta * D
-    q = sum((qi * D for qi in inp.qs), Fraction(0))
+    # one lcm and integer terms: cheaper than a chain of Fraction additions
+    L = math.lcm(*(qi.denominator for qi in inp.qs))
+    q_sum = Fraction(sum(qi.numerator * (L // qi.denominator) for qi in inp.qs), L)
+    D = math.lcm(inp.delta.denominator, q_sum.denominator)
+    delta = inp.delta.numerator * (D // inp.delta.denominator)
+    q = q_sum.numerator * (D // q_sum.denominator)
     s = len(inp.qs)
-    assert delta.denominator == 1 and q.denominator == 1
-    delta, q = int(delta), int(q)
     deg_a, deg_b = 2 * delta - q, D * (s - 4)
     groups = [[delta, -2 * D, 1], [delta - q, D * (s - 2), 1]]
     if inp.p > 0:
@@ -251,10 +254,11 @@ def _scaled_groups(inp: ThresholdInput) -> tuple[int, int, int, list[list[int]]]
 
 
 def _unscale(D: int, deg_a: int, deg_b: int, groups: list[list[int]]) -> PlaneSystem:
+    """The PlaneSystem of the kernel's ascending [v, a, b, count] list."""
     degree = LinForm(Fraction(deg_a, D), Fraction(deg_b, D))
     return PlaneSystem(
         degree,
-        tuple((LinForm(Fraction(a, D), Fraction(b, D)), n) for a, b, n in groups),
+        tuple((LinForm(Fraction(a, D), Fraction(b, D)), n) for _, a, b, n in reversed(groups)),
     )
 
 
@@ -278,50 +282,58 @@ def quadric_threshold(
     where an empty q-list drops the min(q_j) candidates (and the middle case
     returns 0).  ``want_trace=False`` skips step recording on hot paths.
 
-    Internally the loop runs on the integer-scaled system (evaluation at
-    tau = tn/td becomes the integer a*td + b*tn); recorded trace steps are
-    scaled back, and the replay helpers re-derive them with the public
-    Fraction operations, keeping the two routes independently checkable.
+    Internally the loop runs on the integer system scaled by
+    lcm(den(delta), den(sum q_j)); evaluation at tau = tn/td becomes the
+    integer v = a*td + b*tn, computed once per group.  The groups stay in
+    normalized order: a move changes at most three of them, and those are
+    re-inserted by bisection (joining an equal neighbour, dropping v <= 0)
+    instead of re-sorting the whole list.  Recorded trace steps are scaled
+    back, and the replay helpers re-derive them with the public Fraction
+    operations, keeping the two routes independently checkable.
     """
     tau = as_rational(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
     tn, td = tau.numerator, tau.denominator
-    D, deg_a, deg_b, groups = _scaled_groups(inp)
+    D, deg_a, deg_b, initial = _scaled_groups(inp)
+    # [v, a, b, count] ascending by (v, a, b), one entry per distinct form:
+    # normalize's order reversed, so the greatest multiplicities are popped
+    # from the end
+    groups: list[list[int]] = []
 
-    def norm(gs: list[list[int]]) -> list[list[int]]:
-        kept = [(a * td + b * tn, a, b, n) for a, b, n in gs]
-        kept = [g for g in kept if g[0] > 0]
-        kept.sort(reverse=True)
-        out: list[list[int]] = []
-        for _, a, b, n in kept:
-            if out and out[-1][0] == a and out[-1][1] == b:
-                out[-1][2] += n
-            else:
-                out.append([a, b, n])
-        return out
+    def insert(v: int, a: int, b: int, n: int) -> int:
+        """Add n copies of a + b*t (value v at tau); returns how many are kept."""
+        if v <= 0:
+            return 0
+        i = bisect_left(groups, [v, a, b])
+        if i < len(groups) and groups[i][1] == a and groups[i][2] == b:
+            groups[i][3] += n
+        else:
+            groups.insert(i, [v, a, b, n])
+        return n
 
-    groups = norm(groups)
+    total = sum(insert(a * td + b * tn, a, b, n) for a, b, n in initial)
     steps: list[ReductionStep] = []
     for _ in range(max_steps):
-        total = sum(g[2] for g in groups)
         ka = kb = None
         if total >= 3:
             ka, kb, need = deg_a, deg_b, 3
-            for a, b, n in groups:
-                take = min(n, need)
-                ka -= take * a
-                kb -= take * b
-                need -= take
-                if need == 0:
+            for _, a, b, n in reversed(groups):
+                if n >= need:
+                    ka -= need * a
+                    kb -= need * b
                     break
+                ka -= n * a
+                kb -= n * b
+                need -= n
+            kv = ka * td + kb * tn
         # Plain locals pick the move: an enum lookup per step would be
         # measurable on the untraced path.
-        cremona = ka is not None and ka * td + kb * tn < 0
+        cremona = ka is not None and kv < 0
         merge_at = -1
         if not cremona:
-            for i, g in enumerate(groups):
-                if g[2] >= 4:
+            for i in range(len(groups) - 1, -1, -1):
+                if groups[i][3] >= 4:
                     merge_at = i
                     break
         if want_trace:
@@ -337,23 +349,30 @@ def quadric_threshold(
         if cremona:
             deg_a += ka
             deg_b += kb
-            new_groups: list[list[int]] = []
+            # take the three leading units off first: a moved form may
+            # overtake one that is still waiting to move
+            moved = []
             need = 3
-            for a, b, n in groups:
-                take = min(n, need)
-                if take:
-                    new_groups.append([a + ka, b + kb, take])
-                if n > take:
-                    new_groups.append([a, b, n - take])
-                need -= take
-            groups = norm(new_groups)
+            while need:
+                g = groups[-1]
+                if g[3] > need:
+                    g[3] -= need
+                    moved.append((g[0] + kv, g[1] + ka, g[2] + kb, need))
+                    break
+                groups.pop()
+                moved.append((g[0] + kv, g[1] + ka, g[2] + kb, g[3]))
+                need -= g[3]
+            total -= 3
+            for v, a, b, n in moved:
+                total += insert(v, a, b, n)
         elif merge_at >= 0:
-            a, b, n = groups[merge_at]
-            # norm sorts and joins equal runs, so the order of rest is free
-            rest = groups[:merge_at] + groups[merge_at + 1:] + [[2 * a, 2 * b, 1]]
-            if n > 4:
-                rest.append([a, b, n - 4])
-            groups = norm(rest)
+            g = groups[merge_at]
+            if g[3] > 4:
+                g[3] -= 4
+            else:
+                del groups[merge_at]
+            total -= 3
+            insert(2 * g[0], 2 * g[1], 2 * g[2], 1)
         else:
             break
     else:

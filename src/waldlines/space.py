@@ -84,12 +84,22 @@ class DegenerationResult:
         return self.steps[-1].system
 
 
-def _exit_yes(sys: SpaceSystem) -> bool:
-    if sys.delta <= 0:
+def _exit_yes(delta: Fraction, p: int, q_max: Fraction | None) -> bool:
+    """The "yes" exit on a system of degree delta with p general lines and
+    greatest specialized multiplicity q_max (None when none is specialized)."""
+    if delta <= 0:
         return True
-    if sys.delta < 1 and sys.p >= 1:
+    if delta < 1 and p >= 1:
         return True
-    return any(sys.delta < q for q in sys.specialized)
+    return q_max is not None and delta < q_max
+
+
+def _derived(delta: Fraction, specialized: tuple[Fraction, ...], p: int) -> SpaceSystem:
+    """A SpaceSystem built from a checked one by a loop move, without
+    re-checking its O(s) multiplicities."""
+    sys = object.__new__(SpaceSystem)
+    sys.__dict__.update(delta=delta, specialized=specialized, p=p)
+    return sys
 
 
 def certify_lower_bound(
@@ -112,32 +122,33 @@ def certify_lower_bound(
         raise ValueError("tau must be positive")
     if s < 1:
         raise ValueError("s must be positive")
+    # Every subtraction takes the same t0 from each specialized line and new
+    # lines enter at 1, above them all, so `specialized` stays non-decreasing:
+    # its first entry is the least multiplicity and its last the greatest.
     sys = SpaceSystem(delta, (), s)
     steps: list[DegenerationStep] = []
     for _ in range(max_steps):
-        if _exit_yes(sys):
+        d, qs, p = sys.delta, sys.specialized, sys.p
+        if _exit_yes(d, p, qs[-1] if qs else None):
             steps.append(DegenerationStep(sys, None, LMove.TERMINATE_YES))
             return DegenerationResult(True, tuple(steps))
         t0 = quadric_threshold(
-            ThresholdInput(sys.delta, sys.specialized, sys.p),
+            ThresholdInput(d, qs, p),
             tau,
             max_steps=max_steps,
             want_trace=False,
         ).t0
-        min_q = min(sys.specialized) if sys.specialized else None
-        if t0 >= tau or (t0 > 0 and t0 == min_q):
+        if t0 >= tau or (t0 > 0 and qs and t0 == qs[0]):
             steps.append(DegenerationStep(sys, t0, LMove.SUBTRACT))
-            sys = SpaceSystem(
-                sys.delta - 2 * t0,
-                tuple(q - t0 for q in sys.specialized if q - t0 > 0),
-                sys.p,
-            )
+            # the lines that reach zero are a prefix
+            drop = 0
+            while drop < len(qs) and qs[drop] <= t0:
+                drop += 1
+            sys = _derived(d - 2 * t0, tuple(q - t0 for q in qs[drop:]), p)
             continue
-        if sys.p > 0:
+        if p > 0:
             steps.append(DegenerationStep(sys, t0, LMove.SPECIALIZE))
-            sys = SpaceSystem(
-                sys.delta, sys.specialized + (Fraction(1),), sys.p - 1
-            )
+            sys = _derived(d, qs + (Fraction(1),), p - 1)
             continue
         steps.append(DegenerationStep(sys, t0, LMove.TERMINATE_NO))
         return DegenerationResult(False, tuple(steps))
@@ -151,6 +162,8 @@ def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> None:
     raises AssertionError on any mismatch."""
     tau = as_rational(tau)
     steps = result.steps
+    if not steps:
+        raise AssertionError("empty trace")
     for i, step in enumerate(steps[:-1]):
         nxt = steps[i + 1].system
         if step.move is LMove.SUBTRACT:
@@ -171,11 +184,12 @@ def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> None:
         if expect != nxt:
             raise AssertionError(f"step {i}: recorded successor diverges from replay")
     last = steps[-1]
+    yes = _exit_yes(last.system.delta, last.system.p, max(last.system.specialized, default=None))
     if result.answer:
-        if last.move is not LMove.TERMINATE_YES or not _exit_yes(last.system):
+        if last.move is not LMove.TERMINATE_YES or not yes:
             raise AssertionError("yes answer without satisfied exit condition")
     else:
-        if last.move is not LMove.TERMINATE_NO or _exit_yes(last.system):
+        if last.move is not LMove.TERMINATE_NO or yes:
             raise AssertionError("no answer with satisfied exit condition")
 
 

@@ -11,18 +11,20 @@ import random
 from fractions import Fraction
 
 from waldlines.bounds import (
-    AsymptoticCubic,
     chudnovsky_bound,
-    largest_root,
     plane_degeneration_bound,
     small_waldschmidt,
     sqrt_lower_bound,
     square_specialization_bound,
 )
+from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import (
     PlaneSystem,
     ThresholdInput,
     apply_cremona,
+    associate_system,
+    cremona_k,
+    merge_four,
     normalize,
     quadric_threshold,
     replay_reduction,
@@ -45,6 +47,38 @@ def random_threshold_input(rng: random.Random) -> ThresholdInput:
     qs = tuple(random_fraction(rng) for _ in range(s))
     p = rng.randint(0, 6)
     return ThresholdInput(delta, qs, p)
+
+
+def random_kernel_input(rng: random.Random) -> ThresholdInput:
+    """Wider inputs than random_threshold_input: up to 12 unsorted q_j with
+    unlike denominators, so that their lcm is rarely that of delta and sum(q_j),
+    and up to 40 general lines."""
+    delta = random_fraction(rng, 400, 30)
+    qs = tuple(random_fraction(rng, 60, 50) for _ in range(rng.randint(0, 12)))
+    return ThresholdInput(delta, qs, rng.randint(0, 40))
+
+
+def reference_threshold(inp: ThresholdInput, tau: Fraction) -> Fraction:
+    """t0 from the public Fraction operations alone: normalize, Cremona moves
+    while k(tau) < 0, else a four-fold merge, then the threshold formula of
+    quadric_threshold on the terminal degree a + b*t.  The oracle for its
+    integer kernel."""
+    sys = normalize(associate_system(inp), tau)
+    while True:
+        k = cremona_k(sys)
+        if k is not None and k(tau) < 0:
+            sys = normalize(apply_cremona(sys, k), tau)
+            continue
+        merged = merge_four(sys, tau)
+        if merged is None:
+            break
+        sys = merged
+    a, b = sys.degree.a, sys.degree.b
+    if a >= 0:
+        return Fraction(0)
+    if b <= 0:
+        return min(inp.qs, default=Fraction(0))
+    return min([-a / b, *inp.qs])
 
 
 def random_linform(rng: random.Random, span: int = 30) -> LinForm:

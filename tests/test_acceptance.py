@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Every criterion
-finishes in seconds; the search-bound criterion (C6), whose s = 50 search
-takes about 5 s, is the slowest.
+finishes in seconds; the search-bound criterion (C6), whose four searches
+take about 3 s, is the slowest.
 """
 
 import math
@@ -11,11 +11,9 @@ from fractions import Fraction as F
 
 import helpers
 from waldlines.bounds import (
-    AsymptoticCubic,
     alpha_max,
     chudnovsky_bound,
     chudnovsky_verify,
-    largest_root,
     plane_degeneration_bound,
     small_waldschmidt,
     sqrt_lower_bound,
@@ -23,6 +21,7 @@ from waldlines.bounds import (
     strong_bound_closed_form_ok,
     strong_sqrt_check,
 )
+from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import ThresholdInput, quadric_threshold, format_system
 from waldlines.report import build_report
 from waldlines.space import LMove, best_bound, certify_lower_bound, format_space_system

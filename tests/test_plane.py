@@ -1,7 +1,10 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import helpers
 from waldlines.linform import LinForm, parse_linform
 from waldlines.plane import (
     Move,
@@ -197,6 +200,27 @@ class TestReduction:
             ThresholdInput(F(2), (), -1)
         with pytest.raises(ValueError):
             quadric_threshold(GOLDEN_INPUT, F(0))
+
+
+class TestKernelOracle:
+    def test_matches_fraction_reference(self):
+        # the integer kernel scales by lcm(den delta, den sum q_j) and keeps
+        # its groups sorted by insertion; the reference re-normalizes
+        # Fraction systems after every move
+        rng = random.Random(20250)
+        coarser = 0
+        for i in range(2000):
+            inp = helpers.random_kernel_input(rng)
+            tau = rng.choice((TAU, F(1, 7), F(2, 3)))
+            want = helpers.reference_threshold(inp, tau)
+            assert quadric_threshold(inp, tau).t0 == want, (i, inp, tau)
+            assert quadric_threshold(inp, tau, want_trace=False).t0 == want, (i, inp, tau)
+            dens = [q.denominator for q in inp.qs]
+            q_den = sum(inp.qs, F(0)).denominator
+            coarser += math.lcm(inp.delta.denominator, q_den) < math.lcm(inp.delta.denominator, *dens)
+        # a fifth of the inputs scale by less than the lcm of all their
+        # denominators
+        assert coarser > 300
 
 
 class TestFormatParse:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from waldlines.bounds import AsymptoticCubic, largest_root
+from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import (
     Move,
     PlaneSystem,

@@ -1,12 +1,16 @@
+import hashlib
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import helpers
 from waldlines import space
 from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import ThresholdInput, associate_system, quadric_threshold
 from waldlines.space import (
+    DegenerationResult,
     LMove,
     SpaceSystem,
     best_bound,
@@ -86,6 +90,15 @@ GOLDEN_DEGENERATION = [
 ]
 
 
+# sha256 over the JSON traces (helpers.degeneration_signature) of these
+# runs, one line each, as computed by the kernel that re-sorted every group
+# after each plane move and scaled by the lcm of all denominators.
+GOLDEN_DIGEST_CASES = [(F(math.isqrt(5 * s // 2)), s) for s in range(11, 21)] + [
+    (value + d, s) for s, value in PINNED_BEST.items() for d in (-TAU, TAU)
+]
+GOLDEN_DIGEST = "95e3f8059b541a6d0b39952137869825f6f1c42ef0b1d49bc70108cc8d92da53"
+
+
 class TestDegeneration:
     def test_golden_trace(self):
         res = certify_lower_bound(F(4), 8, TAU)
@@ -137,6 +150,25 @@ class TestDegeneration:
         for delta, s in ((F(4), 8), (F(3), 5), (F(5), 9)):
             res = certify_lower_bound(delta, s, TAU)
             assert len(res.steps) <= delta / (2 * TAU) + 2 * s + 2
+
+    def test_replay_rejects_empty_trace(self):
+        with pytest.raises(AssertionError, match="empty trace"):
+            replay_degeneration(DegenerationResult(True, ()), TAU)
+
+    @pytest.mark.parametrize("s", range(1, 31))
+    def test_specialized_never_decreases(self, s):
+        # the loop reads the least and greatest specialized multiplicity off
+        # the ends of the tuple
+        for delta in (F(3, 2), F(math.isqrt(5 * s // 2)), upper_index(s, F(1, 10)) * F(1, 10)):
+            for step in certify_lower_bound(delta, s, TAU).steps:
+                qs = step.system.specialized
+                assert list(qs) == sorted(qs), (delta, s)
+
+    def test_golden_digest(self):
+        h = hashlib.sha256()
+        for delta, s in GOLDEN_DIGEST_CASES:
+            h.update(helpers.degeneration_signature(delta, s, TAU).encode() + b"\n")
+        assert h.hexdigest() == GOLDEN_DIGEST
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
