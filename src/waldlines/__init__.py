@@ -25,7 +25,7 @@ from .plane import (
     normalize,
     parse_system,
     quadric_threshold,
-    replay_reduction,
+    reference_reduction,
 )
 from .space import (
     DegenerationResult,
@@ -75,7 +75,7 @@ __all__ = [
     "normalize",
     "parse_system",
     "quadric_threshold",
-    "replay_reduction",
+    "reference_reduction",
     "DegenerationResult",
     "DegenerationStep",
     "LMove",

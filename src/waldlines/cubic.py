@@ -72,6 +72,22 @@ def _bisect(cubic: AsymptoticCubic, lo: Fraction, hi: Fraction, precision: Fract
     return RootBracket(lo, hi)
 
 
+def _bisect_right_of_dip(
+    cubic: AsymptoticCubic, lo: Fraction, hi: Fraction, precision: Fraction
+) -> RootBracket:
+    """The largest root in (sqrt(s), hi), where lo <= sqrt(s) and
+    cubic(hi) > 0 and the minimum at sqrt(s) is negative: tighten a rational
+    point x > sqrt(s) with cubic(x) < 0, then bisect [x, hi]."""
+    x = hi
+    while cubic(x) >= 0:
+        mid = (lo + x) / 2
+        if mid * mid <= cubic.s:
+            lo = mid
+        else:
+            x = mid
+    return _bisect(cubic, x, hi, precision)
+
+
 def largest_root(cubic: AsymptoticCubic, precision: RationalLike) -> RootBracket | None:
     """Largest real root of the cubic on [1, ceil(sqrt(3s)) + 1].
 
@@ -112,22 +128,7 @@ def largest_root(cubic: AsymptoticCubic, precision: RationalLike) -> RootBracket
             return RootBracket(x, x)  # on the increasing branch: largest root
         if v < 0:
             return _bisect(cubic, x, prev, precision)
-        # v == 0 left of the minimum: the largest root hides in (sqrt(s), prev);
-        # tighten a rational point v2 > sqrt(s) with cubic(v2) < 0, then bisect.
-        lo2, hi2 = x, prev
-        while cubic(hi2) >= 0:
-            mid = (lo2 + hi2) / 2
-            if mid * mid <= s:
-                lo2 = mid
-            else:
-                hi2 = mid
-        return _bisect(cubic, hi2, prev, precision)
+        # v == 0 left of the minimum: the largest root hides in (sqrt(s), prev)
+        return _bisect_right_of_dip(cubic, x, prev, precision)
     # No sign change on integer points: the dip lies inside one unit interval.
-    lo2, hi2 = Fraction(1), Fraction(hi_end)
-    while cubic(hi2) >= 0:
-        mid = (lo2 + hi2) / 2
-        if mid * mid <= s:
-            lo2 = mid
-        else:
-            hi2 = mid
-    return _bisect(cubic, hi2, Fraction(hi_end), precision)
+    return _bisect_right_of_dip(cubic, Fraction(1), Fraction(hi_end), precision)

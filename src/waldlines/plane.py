@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .linform import (
     LinForm,
@@ -229,7 +229,18 @@ def merge_four(sys: PlaneSystem, tau: RationalLike) -> PlaneSystem | None:
     return None
 
 
-DEFAULT_MAX_STEPS = 1_000_000
+# Step cap of the plane reduction and of the degeneration loop.
+MAX_STEPS = 1_000_000
+
+
+def _terminal_t0(a: int | Fraction, b: int | Fraction, qs: tuple[Fraction, ...]) -> Fraction:
+    """The threshold formula of :func:`quadric_threshold` for the terminal
+    degree a + b*t, which may be given at any positive scale."""
+    if a >= 0:
+        return Fraction(0)
+    if b <= 0:
+        return min(qs, default=Fraction(0))
+    return min([Fraction(-a, b), *qs])
 
 
 def _scaled_groups(inp: ThresholdInput) -> tuple[int, int, int, list[list[int]]]:
@@ -266,7 +277,6 @@ def quadric_threshold(
     inp: ThresholdInput,
     tau: RationalLike,
     *,
-    max_steps: int = DEFAULT_MAX_STEPS,
     want_trace: bool = True,
 ) -> ThresholdResult:
     """Reduce the associated plane system and return the threshold t0.
@@ -281,6 +291,7 @@ def quadric_threshold(
 
     where an empty q-list drops the min(q_j) candidates (and the middle case
     returns 0).  ``want_trace=False`` skips step recording on hot paths.
+    The result equals that of :func:`reference_reduction`.
 
     Internally the loop runs on the integer system scaled by
     lcm(den(delta), den(sum q_j)); evaluation at tau = tn/td becomes the
@@ -288,8 +299,7 @@ def quadric_threshold(
     normalized order: a move changes at most three of them, and those are
     re-inserted by bisection (joining an equal neighbour, dropping v <= 0)
     instead of re-sorting the whole list.  Recorded trace steps are scaled
-    back, and the replay helpers re-derive them with the public Fraction
-    operations, keeping the two routes independently checkable.
+    back to the systems the Fraction operations produce.
     """
     tau = as_rational(tau)
     if tau <= 0:
@@ -314,7 +324,7 @@ def quadric_threshold(
 
     total = sum(insert(a * td + b * tn, a, b, n) for a, b, n in initial)
     steps: list[ReductionStep] = []
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         ka = kb = None
         if total >= 3:
             ka, kb, need = deg_a, deg_b, 3
@@ -377,55 +387,30 @@ def quadric_threshold(
             break
     else:
         raise IterationLimitError(
-            f"plane reduction exceeded {max_steps} steps for input {inp}"
+            f"plane reduction exceeded {MAX_STEPS} steps for input {inp}"
         )
-    if deg_a >= 0:
-        t0 = Fraction(0)
-    elif deg_b <= 0:
-        t0 = min(inp.qs) if inp.qs else Fraction(0)
-    else:
-        t0 = min([Fraction(-deg_a, deg_b), *inp.qs])
-    return ThresholdResult(t0, tuple(steps))
+    return ThresholdResult(_terminal_t0(deg_a, deg_b, inp.qs), tuple(steps))
 
 
-def replay_reduction(inp: ThresholdInput, steps: Sequence[ReductionStep], tau: RationalLike) -> None:
-    """Re-derive every recorded system from its predecessor and declared move.
-
-    Raises AssertionError on the first mismatch; also checks the conservation
-    bookkeeping of Cremona moves (degree changes by k, exactly three
-    multiplicity units change, each by k).
-    """
+def reference_reduction(inp: ThresholdInput, tau: RationalLike) -> ThresholdResult:
+    """The reduction of :func:`quadric_threshold` by the public Fraction
+    operations alone: normalize, a Cremona move while k(tau) < 0, else a
+    four-fold merge, recording every state.  The oracle for the integer
+    kernel, whose traced result must equal this one step for step."""
     tau = as_rational(tau)
-    if not steps:
-        raise AssertionError("empty trace")
-    current = normalize(associate_system(inp), tau)
-    for i, step in enumerate(steps):
-        if step.system != current:
-            raise AssertionError(f"step {i}: recorded system diverges from replay")
-        if step.k != cremona_k(current):
-            raise AssertionError(f"step {i}: recorded k diverges from replay")
-        if step.move is Move.CREMONA:
-            assert step.k is not None and step.k(tau) < 0
-            nxt = apply_cremona(current, step.k)
-            if nxt.degree - current.degree != step.k:
-                raise AssertionError(f"step {i}: degree change is not k")
-            counts: dict[LinForm, int] = {}
-            for lf, n in nxt.groups:
-                counts[lf] = counts.get(lf, 0) + n
-            changed = current.mult_count - sum(
-                min(n, counts.get(lf, 0)) for lf, n in current.groups
-            )
-            if changed > 3:
-                raise AssertionError(f"step {i}: more than three multiplicities changed")
-            current = normalize(nxt, tau)
-        elif step.move is Move.MERGE:
-            merged = merge_four(current, tau)
-            if merged is None:
-                raise AssertionError(f"step {i}: merge recorded but impossible")
-            current = merged
+    sys = normalize(associate_system(inp), tau)
+    steps: list[ReductionStep] = []
+    while True:
+        k = cremona_k(sys)
+        if k is not None and k(tau) < 0:
+            move, nxt = Move.CREMONA, normalize(apply_cremona(sys, k), tau)
         else:
-            if i != len(steps) - 1:
-                raise AssertionError(f"step {i}: terminate before end of trace")
+            nxt = merge_four(sys, tau)
+            move = Move.TERMINATE if nxt is None else Move.MERGE
+        steps.append(ReductionStep(sys, k, move))
+        if nxt is None:
+            return ThresholdResult(_terminal_t0(sys.degree.a, sys.degree.b, inp.qs), tuple(steps))
+        sys = nxt
 
 
 def format_system(sys: PlaneSystem) -> str:

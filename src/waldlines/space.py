@@ -32,7 +32,7 @@ from fractions import Fraction
 from .cubic import AsymptoticCubic, largest_root
 from .linform import RationalLike, as_rational
 from .plane import (
-    DEFAULT_MAX_STEPS,
+    MAX_STEPS,
     IterationLimitError,
     ThresholdInput,
     quadric_threshold,
@@ -106,8 +106,6 @@ def certify_lower_bound(
     delta: RationalLike,
     s: int,
     tau: RationalLike,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> DegenerationResult:
     """Run the degeneration loop on (delta; 1^s).
 
@@ -127,7 +125,7 @@ def certify_lower_bound(
     # its first entry is the least multiplicity and its last the greatest.
     sys = SpaceSystem(delta, (), s)
     steps: list[DegenerationStep] = []
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         d, qs, p = sys.delta, sys.specialized, sys.p
         if _exit_yes(d, p, qs[-1] if qs else None):
             steps.append(DegenerationStep(sys, None, LMove.TERMINATE_YES))
@@ -135,7 +133,6 @@ def certify_lower_bound(
         t0 = quadric_threshold(
             ThresholdInput(d, qs, p),
             tau,
-            max_steps=max_steps,
             want_trace=False,
         ).t0
         if t0 >= tau or (t0 > 0 and qs and t0 == qs[0]):
@@ -153,52 +150,58 @@ def certify_lower_bound(
         steps.append(DegenerationStep(sys, t0, LMove.TERMINATE_NO))
         return DegenerationResult(False, tuple(steps))
     raise IterationLimitError(
-        f"degeneration exceeded {max_steps} iterations for delta={delta}, s={s}"
+        f"degeneration exceeded {MAX_STEPS} iterations for delta={delta}, s={s}"
     )
 
 
-def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> None:
-    """Re-derive each recorded system from its predecessor and declared move;
-    raises AssertionError on any mismatch."""
+def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[Fraction, int]:
+    """Check the certificate ``result`` and return the (delta, s) of its
+    start system (delta; | 1^s).
+
+    Each recorded system is re-derived from its predecessor and declared
+    move.  A subtraction of t from a state is sound when 0 < t <= t0, its
+    plane-reduction threshold at tau, because the base locus then holds t
+    copies of the quadric; so t0 is re-derived for every SUBTRACT step.  The
+    loop's rule for taking a subtraction (t0 >= tau, or t0 equal to the least
+    specialized multiplicity) only ensures termination and is not checked.
+    A "yes" needs the exit condition on the last system, a "no" its
+    absence.  Every rejection is an AssertionError naming the step.
+    """
     tau = as_rational(tau)
     steps = result.steps
     if not steps:
         raise AssertionError("empty trace")
+    start = steps[0].system
+    if start.specialized or start.p < 1 or start.delta <= 0:
+        raise AssertionError(f"step 0: {format_space_system(start)} is not (delta; | 1^s)")
     for i, step in enumerate(steps[:-1]):
-        nxt = steps[i + 1].system
+        sys, t, nxt = step.system, step.t0, steps[i + 1].system
         if step.move is LMove.SUBTRACT:
-            assert step.t0 is not None and step.t0 > 0
-            expect = SpaceSystem(
-                step.system.delta - 2 * step.t0,
-                tuple(q - step.t0 for q in step.system.specialized if q - step.t0 > 0),
-                step.system.p,
-            )
+            if t is None or t <= 0 or sys.delta <= 0:
+                raise AssertionError(f"step {i}: subtraction of {t} from degree {sys.delta}")
+            inp = ThresholdInput(sys.delta, sys.specialized, sys.p)
+            t0 = quadric_threshold(inp, tau, want_trace=False).t0
+            if t > t0:
+                raise AssertionError(f"step {i}: subtraction of {t} exceeds the threshold {t0}")
+            expect = (sys.delta - 2 * t, tuple(q - t for q in sys.specialized if q > t), sys.p)
         elif step.move is LMove.SPECIALIZE:
-            expect = SpaceSystem(
-                step.system.delta,
-                step.system.specialized + (Fraction(1),),
-                step.system.p - 1,
-            )
+            expect = (sys.delta, sys.specialized + (Fraction(1),), sys.p - 1)
         else:
             raise AssertionError(f"step {i}: terminal move before end of trace")
-        if expect != nxt:
+        if expect != (nxt.delta, nxt.specialized, nxt.p):
             raise AssertionError(f"step {i}: recorded successor diverges from replay")
-    last = steps[-1]
-    yes = _exit_yes(last.system.delta, last.system.p, max(last.system.specialized, default=None))
-    if result.answer:
-        if last.move is not LMove.TERMINATE_YES or not yes:
-            raise AssertionError("yes answer without satisfied exit condition")
-    else:
-        if last.move is not LMove.TERMINATE_NO or yes:
-            raise AssertionError("no answer with satisfied exit condition")
+    last = steps[-1].system
+    yes = _exit_yes(last.delta, last.p, max(last.specialized, default=None))
+    want = LMove.TERMINATE_YES if result.answer else LMove.TERMINATE_NO
+    if steps[-1].move is not want or yes != result.answer:
+        raise AssertionError(f"step {len(steps) - 1}: answer {result.answer} contradicts the exit")
+    return start.delta, start.p
 
 
 def best_bound(
     s: int,
     tau: RationalLike,
     grid: RationalLike,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Fraction:
     """Largest grid multiple delta > 1 certified by the degeneration loop.
 
@@ -226,7 +229,7 @@ def best_bound(
     hi = -(-root.hi // grid) + 1  # virtual "no": one past ceil to the grid
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if certify_lower_bound(mid * grid, s, tau, max_steps=max_steps).answer:
+        if certify_lower_bound(mid * grid, s, tau).answer:
             lo = mid
         else:
             hi = mid

@@ -22,12 +22,9 @@ from waldlines.plane import (
     PlaneSystem,
     ThresholdInput,
     apply_cremona,
-    associate_system,
-    cremona_k,
-    merge_four,
     normalize,
     quadric_threshold,
-    replay_reduction,
+    reference_reduction,
     step_to_json,
 )
 from waldlines.space import certify_lower_bound, replay_degeneration
@@ -58,29 +55,6 @@ def random_kernel_input(rng: random.Random) -> ThresholdInput:
     return ThresholdInput(delta, qs, rng.randint(0, 40))
 
 
-def reference_threshold(inp: ThresholdInput, tau: Fraction) -> Fraction:
-    """t0 from the public Fraction operations alone: normalize, Cremona moves
-    while k(tau) < 0, else a four-fold merge, then the threshold formula of
-    quadric_threshold on the terminal degree a + b*t.  The oracle for its
-    integer kernel."""
-    sys = normalize(associate_system(inp), tau)
-    while True:
-        k = cremona_k(sys)
-        if k is not None and k(tau) < 0:
-            sys = normalize(apply_cremona(sys, k), tau)
-            continue
-        merged = merge_four(sys, tau)
-        if merged is None:
-            break
-        sys = merged
-    a, b = sys.degree.a, sys.degree.b
-    if a >= 0:
-        return Fraction(0)
-    if b <= 0:
-        return min(inp.qs, default=Fraction(0))
-    return min([-a / b, *inp.qs])
-
-
 def random_linform(rng: random.Random, span: int = 30) -> LinForm:
     def coeff() -> Fraction:
         return Fraction(rng.randint(-span, span), rng.randint(1, 10))
@@ -103,6 +77,7 @@ def reduction_signature(inp: ThresholdInput, tau: Fraction) -> str:
 
 def degeneration_signature(delta: Fraction, s: int, tau: Fraction) -> str:
     res = certify_lower_bound(delta, s, tau)
+    assert replay_degeneration(res, tau) == (delta, s)
     return json.dumps(
         {"answer": res.answer, "steps": [l_step_to_json(st) for st in res.steps]},
         sort_keys=True,
@@ -183,20 +158,18 @@ def suite_determinism(cases: int = 1000) -> tuple[bool, str]:
 
 
 def suite_trace_replay(cases: int = 1000) -> tuple[bool, str]:
-    """Replaying recorded moves with the reference operations reproduces
-    every recorded system (this cross-checks the integer fast path)."""
+    """The integer kernel's traced result equals the Fraction reference
+    reduction, and the certificate checker accepts degeneration traces."""
     rng = random.Random(20243)
     for i in range(cases):
         inp = random_threshold_input(rng)
-        res = quadric_threshold(inp, TAU)
-        try:
-            replay_reduction(inp, res.steps, TAU)
-        except AssertionError as exc:
-            return False, f"case {i}: {exc}"
+        if quadric_threshold(inp, TAU) != reference_reduction(inp, TAU):
+            return False, f"case {i}: kernel diverges from the reference reduction"
     for delta, s in ((Fraction(4), 8), (Fraction(16, 5), 5), (Fraction(10), 2)):
         res = certify_lower_bound(delta, s, TAU)
         try:
-            replay_degeneration(res, TAU)
+            if replay_degeneration(res, TAU) != (delta, s):
+                return False, f"degeneration ({delta},{s}): wrong start system"
         except AssertionError as exc:
             return False, f"degeneration ({delta},{s}): {exc}"
     return True, f"{cases} plane traces plus degeneration spot checks"

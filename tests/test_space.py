@@ -8,9 +8,10 @@ import pytest
 import helpers
 from waldlines import space
 from waldlines.cubic import AsymptoticCubic, largest_root
-from waldlines.plane import ThresholdInput, associate_system, quadric_threshold
+from waldlines.plane import ThresholdInput, associate_system, reference_reduction
 from waldlines.space import (
     DegenerationResult,
+    DegenerationStep,
     LMove,
     SpaceSystem,
     best_bound,
@@ -64,10 +65,6 @@ class TestRestrictToQuadric:
         assert sys.groups == ((sys.groups[0][0], 2),)
         assert sys.groups[0][0].a == 5 and sys.groups[0][0].b == -2
 
-    def test_feeds_reduction(self):
-        inp = ThresholdInput(F(4), (F(1),) * 3, 5)
-        assert quadric_threshold(inp, TAU).t0 == F(4, 7)
-
 
 # The worked degeneration of (4; 1^8): every state on arrival at the exit
 # check, the threshold computed there, and the move taken.
@@ -99,6 +96,34 @@ GOLDEN_DIGEST_CASES = [(F(math.isqrt(5 * s // 2)), s) for s in range(11, 21)] + 
 GOLDEN_DIGEST = "95e3f8059b541a6d0b39952137869825f6f1c42ef0b1d49bc70108cc8d92da53"
 
 
+def trace(*rows) -> tuple[DegenerationStep, ...]:
+    """Steps from (delta, specialized, p, t0, move) rows."""
+    return tuple(DegenerationStep(SpaceSystem(d, qs, p), t0, move) for d, qs, p, t0, move in rows)
+
+
+OVER = F(4, 7) + F(1, 10**12)  # past the threshold 4/7 at step 3 of (4; 1^8)
+# name -> (answer, steps, the AssertionError replay_degeneration must raise)
+FORGED = {
+    # (29/10; 1 | 1) has threshold 0, and 29/10 exceeds alphahat(2) = 2
+    "past-zero-threshold": (True, trace(
+        (F(29, 10), (), 2, F(0), LMove.SPECIALIZE),
+        (F(29, 10), (F(1),), 1, F(1), LMove.SUBTRACT),
+        (F(9, 10), (), 1, None, LMove.TERMINATE_YES),
+    ), "step 1: subtraction of 1 exceeds the threshold 0"),
+    "past-threshold": (False, trace(
+        *((F(4), (F(1),) * j, 8 - j, F(0), LMove.SPECIALIZE) for j in range(3)),
+        (F(4), (F(1),) * 3, 5, OVER, LMove.SUBTRACT),
+        (4 - 2 * OVER, (1 - OVER,) * 3, 5, None, LMove.TERMINATE_NO),
+    ), "step 3: subtraction of .* exceeds the threshold 4/7"),
+    "specialize-at-p0": (False, trace(
+        (F(2), (), 1, F(0), LMove.SPECIALIZE),
+        (F(2), (F(1),), 0, F(0), LMove.SPECIALIZE),
+        (F(2), (F(1), F(1)), 0, F(0), LMove.TERMINATE_NO),
+    ), "step 1: recorded successor diverges"),
+    "bad-start": (True, trace((F(1, 2), (F(1),), 0, None, LMove.TERMINATE_YES)), "step 0: "),
+}
+
+
 class TestDegeneration:
     def test_golden_trace(self):
         res = certify_lower_bound(F(4), 8, TAU)
@@ -110,7 +135,22 @@ class TestDegeneration:
             assert step.move is move
 
     def test_golden_replay(self):
-        replay_degeneration(certify_lower_bound(F(4), 8, TAU), TAU)
+        assert replay_degeneration(certify_lower_bound(F(4), 8, TAU), TAU) == (F(4), 8)
+
+    @pytest.mark.parametrize("name", sorted(FORGED))
+    def test_replay_rejects_forged_trace(self, name):
+        answer, steps, message = FORGED[name]
+        with pytest.raises(AssertionError, match=message):
+            replay_degeneration(DegenerationResult(answer, steps), TAU)
+
+    def test_thresholds_match_reference_reduction(self):
+        # the replay re-derives t0 with the integer kernel; sample the
+        # Fraction reference on the deep states of a large-s trace
+        res = certify_lower_bound(PINNED_BEST[50], 50, TAU)
+        subtract = [st for st in res.steps if st.move is LMove.SUBTRACT]
+        for st in random.Random(50).sample(subtract, 10):
+            inp = ThresholdInput(st.system.delta, st.system.specialized, st.system.p)
+            assert reference_reduction(inp, TAU).t0 == st.t0
 
     def test_sub_tau_subtraction_removes_lines(self):
         # the step at t0 = 3/5045 < tau is taken because t0 equals the least
@@ -133,16 +173,6 @@ class TestDegeneration:
         for s, cap in known.items():
             probe = cap + F(1, 4)
             assert certify_lower_bound(probe, s, TAU).answer is False
-
-    def test_delta_decreases_and_p_decreases(self):
-        res = certify_lower_bound(F(4), 8, TAU)
-        for a, b in zip(res.steps, res.steps[1:]):
-            if a.move is LMove.SUBTRACT:
-                assert b.system.delta == a.system.delta - 2 * a.t0
-                assert b.system.p == a.system.p
-            elif a.move is LMove.SPECIALIZE:
-                assert b.system.p == a.system.p - 1
-                assert b.system.delta == a.system.delta
 
     def test_trace_length_bound(self):
         # subtractions either shrink delta by 2*tau or remove a specialized
