@@ -15,7 +15,7 @@ from .plane import (
     Move,
     PlaneSystem,
     ReductionStep,
-    ThresholdInput,
+    SpaceSystem,
     ThresholdResult,
     apply_cremona,
     associate_system,
@@ -31,7 +31,6 @@ from .space import (
     DegenerationResult,
     DegenerationStep,
     LMove,
-    SpaceSystem,
     best_bound,
     certify_lower_bound,
     format_space_system,
@@ -65,7 +64,7 @@ __all__ = [
     "Move",
     "PlaneSystem",
     "ReductionStep",
-    "ThresholdInput",
+    "SpaceSystem",
     "ThresholdResult",
     "apply_cremona",
     "associate_system",
@@ -79,7 +78,6 @@ __all__ = [
     "DegenerationResult",
     "DegenerationStep",
     "LMove",
-    "SpaceSystem",
     "best_bound",
     "certify_lower_bound",
     "format_space_system",

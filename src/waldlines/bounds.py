@@ -15,8 +15,9 @@ A condition count caps the initial degree alpha(s) of the ideal of the lines
 by (alpha + 2)(alpha + 1) <= 6s, and the Chudnovsky-type inequality
 alphahat >= (alpha + 1)/2 follows from the bounds above; chudnovsky_verify
 checks the whole inequality chain exactly.  The strong bound
-floor(sqrt(2.5 s)) holds for every s except 4, 7 and 10: by an exact integer
-check for s >= 490 and by running the degeneration loop below that.
+floor(sqrt(2.5 s)) holds for every s except 4, 7 and 10: by the known exact
+values for s <= 5, by an exact integer check for s >= 490 and by running the
+degeneration loop in between.
 
 Everything here is exact integer/rational arithmetic; the only approximate
 quantity anywhere is the rendered decimal of a cubic root.
@@ -152,7 +153,7 @@ _CLOSED_FORM_MIN_S = 490
 @dataclass(frozen=True)
 class StrongBoundStatus:
     holds: bool
-    method: str  # "closed-form" | "algorithm-L" | "known-exception"
+    method: str  # "exact-value" | "closed-form" | "algorithm-L" | "known-exception"
 
 
 def strong_bound_closed_form_ok(s: int) -> bool:
@@ -167,17 +168,20 @@ def strong_sqrt_check(s: int, tau: RationalLike) -> StrongBoundStatus:
     """Is the bound floor(sqrt(2.5 s)) certified for this s?
 
     s = 4, 7 and 10 are the known exceptions (for s = 4 the bound is simply
-    false; for 7 and 10 it is open).  For s >= 490 the closed-form conditions
-    hold; below that the degeneration loop is run at delta = floor(sqrt(2.5s)).
-    A False answer from the loop means "not certified by this method", not a
-    disproof.
+    false; for 7 and 10 it is open).  The other s <= 5 are decided by their
+    exact constants (which the loop, certifying only strict separations, does
+    not reach), s >= 490 by the closed-form conditions, and the rest by the
+    degeneration loop at delta = floor(sqrt(2.5s)).  A False answer from the
+    loop means "not certified by this method", not a disproof.
     """
     if s < 1:
         raise ValueError("s must be positive")
     if s in STRONG_BOUND_EXCEPTIONS:
         return StrongBoundStatus(False, "known-exception")
+    delta = math.isqrt(5 * s // 2)
+    if s <= 5:
+        return StrongBoundStatus(small_waldschmidt(s) >= delta, "exact-value")
     if s >= _CLOSED_FORM_MIN_S:
         return StrongBoundStatus(strong_bound_closed_form_ok(s), "closed-form")
-    delta = math.isqrt(5 * s // 2)
     answer = certify_lower_bound(delta, s, as_rational(tau)).answer
     return StrongBoundStatus(answer, "algorithm-L")

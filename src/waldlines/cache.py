@@ -38,12 +38,12 @@ class ResultCache:
     def __init__(self, path: str | os.PathLike[str]):
         self.path = Path(path)
         self._entries: dict[str, dict] = {}
-        if self.path.exists():
-            try:
-                data = json.loads(self.path.read_text())
-                self._entries = dict(data.get("entries", {}))
-            except (json.JSONDecodeError, OSError):
-                self._entries = {}  # unreadable cache is treated as empty
+        try:  # a missing or unreadable cache, or one not an object of objects, is empty
+            entries = json.loads(self.path.read_text()).get("entries", {})
+            if all(isinstance(v, dict) for v in entries.values()):
+                self._entries = entries
+        except (OSError, ValueError, AttributeError):
+            pass
 
     def get(
         self, s: int, tau: Fraction, grid: Fraction, precision: Fraction

@@ -13,6 +13,8 @@
 `trace-t` and `trace-l` take --tau --json; `verify` takes --tau (thm4),
 --precision (invariants), --max-s and --range.  Rationals on the command line
 are positive and written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
+`trace-t` reads the space system (delta; q1..qs | 1^p) as "delta;q1,...,qs;p"
+and `trace-l` the start system (delta; 1^s) as "delta;s".
 Reports are cached under (s, tau, grid, precision, source fingerprint).  Exit
 status is 0 when every requested check passed, 1 on violations, 2 on usage
 errors.
@@ -58,9 +60,9 @@ def _rational_at(source: str, chunk: str, offset: int, what: str) -> Fraction:
         ) from None
 
 
-def parse_t_input(text: str) -> plane.ThresholdInput:
-    """Parse "delta;q1,...,qs;p", e.g. "7;1,1,1,1,1;15" (the q-list may be
-    empty: "4;;8")."""
+def parse_t_input(text: str) -> plane.SpaceSystem:
+    """Parse "delta;q1,...,qs;p", the space system (delta; q1..qs | 1^p), e.g.
+    "7;1,1,1,1,1;15" (the q-list may be empty: "4;;8")."""
     parts = text.split(";")
     if len(parts) != 3:
         raise InputError(
@@ -82,7 +84,7 @@ def parse_t_input(text: str) -> plane.ThresholdInput:
             f"invalid line count {parts[2].strip()!r} at position"
             f" {len(parts[0]) + len(parts[1]) + 2} in {text!r}"
         )
-    return plane.ThresholdInput(delta, tuple(qs), int(ptext))
+    return plane.SpaceSystem(delta, tuple(qs), int(ptext))
 
 
 def parse_l_input(text: str) -> tuple[Fraction, int]:
@@ -151,7 +153,7 @@ def cmd_trace_t(args: argparse.Namespace) -> int:
         payload = {
             "input": {
                 "delta": str(inp.delta),
-                "qs": [str(q) for q in inp.qs],
+                "qs": [str(q) for q in inp.specialized],
                 "p": inp.p,
             },
             "tau": str(tau),

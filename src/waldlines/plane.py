@@ -14,8 +14,10 @@ repeatedly
 
 Both moves preserve semi-effectivity, so if the terminal degree a + b*t is
 forced negative on a t-range the original system is stably empty there.  The
-returned threshold t0 encodes that range: the input's restriction-to-quadric
-system is stably empty for all rational 0 <= t < t0.
+input is a space system (delta; q_1..q_s | 1^p), the one state type that the
+degeneration loop in space.py also steps through, and the returned threshold
+t0 encodes that range: its restriction-to-quadric system is stably empty for
+all rational 0 <= t < t0.
 
 Multiplicity lists are kept run-length encoded: systems routinely carry
 hundreds of repeated entries (1^2p blocks), and every move touches at most a
@@ -105,21 +107,23 @@ def _squeeze(groups: list[tuple[LinForm, int]]) -> Groups:
 
 
 @dataclass(frozen=True)
-class ThresholdInput:
-    """Input tuple (delta; q_1, ..., q_s; p): a rational degree, s positive
-    rational multiplicities along specialized lines, and p extra very general
-    lines of multiplicity one."""
+class SpaceSystem:
+    """Space system (delta; q_1, ..., q_s | 1^p): a rational degree, s
+    positive rational multiplicities along lines specialized to one ruling
+    of the quadric, and p very general lines of multiplicity one.  The
+    degree is unchecked, since the degeneration loop can drive it to zero or
+    below; the plane reduction requires it positive."""
 
     delta: Fraction
-    qs: tuple[Fraction, ...]
+    specialized: tuple[Fraction, ...]
     p: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", as_rational(self.delta))
-        object.__setattr__(self, "qs", tuple(as_rational(q) for q in self.qs))
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if any(q.numerator <= 0 for q in self.qs):  # a Fraction has its numerator's sign
+        object.__setattr__(
+            self, "specialized", tuple(as_rational(q) for q in self.specialized)
+        )
+        if any(q.numerator <= 0 for q in self.specialized):  # a Fraction has its numerator's sign
             raise ValueError("specialized multiplicities must be positive")
         if self.p < 0:
             raise ValueError("p must be nonnegative")
@@ -141,16 +145,16 @@ class ThresholdResult:
     steps: tuple[ReductionStep, ...]
 
 
-def associate_system(inp: ThresholdInput) -> PlaneSystem:
-    """The t-parametrized plane system attached to (delta; q_1..q_s; p).
+def associate_system(inp: SpaceSystem) -> PlaneSystem:
+    """The t-parametrized plane system attached to (delta; q_1..q_s | 1^p).
 
     Restriction to a smooth quadric carrying the s specialized lines in one
     ruling, with the quadric subtracted t times, gives on the plane
     L2(2*delta - q + (s-4)t; delta - 2t, delta - q + (s-2)t, 1^(2p))
     where q is the sum of the q_j.
     """
-    q = sum(inp.qs, Fraction(0))
-    s = len(inp.qs)
+    q = sum(inp.specialized, Fraction(0))
+    s = len(inp.specialized)
     degree = LinForm(2 * inp.delta - q, Fraction(s - 4))
     m1 = LinForm(inp.delta, Fraction(-2))
     m2 = LinForm(inp.delta - q, Fraction(s - 2))
@@ -243,7 +247,7 @@ def _terminal_t0(a: int | Fraction, b: int | Fraction, qs: tuple[Fraction, ...])
     return min([Fraction(-a, b), *qs])
 
 
-def _scaled_groups(inp: ThresholdInput) -> tuple[int, int, int, list[list[int]]]:
+def _scaled_groups(inp: SpaceSystem) -> tuple[int, int, int, list[list[int]]]:
     """Integer form of the associated system, scaled by the lcm D of the
     denominators of delta and of q = sum(q_j): returns (D, deg_a, deg_b,
     groups) with groups entries [a, b, count].  The system depends on the
@@ -251,12 +255,12 @@ def _scaled_groups(inp: ThresholdInput) -> tuple[int, int, int, list[list[int]]]
     root, so the reduction may run entirely in integer arithmetic.
     """
     # one lcm and integer terms: cheaper than a chain of Fraction additions
-    L = math.lcm(*(qi.denominator for qi in inp.qs))
-    q_sum = Fraction(sum(qi.numerator * (L // qi.denominator) for qi in inp.qs), L)
+    L = math.lcm(*(qi.denominator for qi in inp.specialized))
+    q_sum = Fraction(sum(qi.numerator * (L // qi.denominator) for qi in inp.specialized), L)
     D = math.lcm(inp.delta.denominator, q_sum.denominator)
     delta = inp.delta.numerator * (D // inp.delta.denominator)
     q = q_sum.numerator * (D // q_sum.denominator)
-    s = len(inp.qs)
+    s = len(inp.specialized)
     deg_a, deg_b = 2 * delta - q, D * (s - 4)
     groups = [[delta, -2 * D, 1], [delta - q, D * (s - 2), 1]]
     if inp.p > 0:
@@ -274,12 +278,13 @@ def _unscale(D: int, deg_a: int, deg_b: int, groups: list[list[int]]) -> PlaneSy
 
 
 def quadric_threshold(
-    inp: ThresholdInput,
+    inp: SpaceSystem,
     tau: RationalLike,
     *,
     want_trace: bool = True,
 ) -> ThresholdResult:
-    """Reduce the associated plane system and return the threshold t0.
+    """Reduce the plane system associated with ``inp``, whose degree must be
+    positive, and return the threshold t0.
 
     The loop alternates normalization, Cremona moves (while k(tau) < 0) and
     four-fold merges until neither applies.  With terminal degree a + b*t the
@@ -304,6 +309,8 @@ def quadric_threshold(
     tau = as_rational(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if inp.delta <= 0:
+        raise ValueError("the plane reduction needs a positive degree")
     tn, td = tau.numerator, tau.denominator
     D, deg_a, deg_b, initial = _scaled_groups(inp)
     # [v, a, b, count] ascending by (v, a, b), one entry per distinct form:
@@ -389,15 +396,17 @@ def quadric_threshold(
         raise IterationLimitError(
             f"plane reduction exceeded {MAX_STEPS} steps for input {inp}"
         )
-    return ThresholdResult(_terminal_t0(deg_a, deg_b, inp.qs), tuple(steps))
+    return ThresholdResult(_terminal_t0(deg_a, deg_b, inp.specialized), tuple(steps))
 
 
-def reference_reduction(inp: ThresholdInput, tau: RationalLike) -> ThresholdResult:
+def reference_reduction(inp: SpaceSystem, tau: RationalLike) -> ThresholdResult:
     """The reduction of :func:`quadric_threshold` by the public Fraction
     operations alone: normalize, a Cremona move while k(tau) < 0, else a
     four-fold merge, recording every state.  The oracle for the integer
     kernel, whose traced result must equal this one step for step."""
     tau = as_rational(tau)
+    if inp.delta <= 0:
+        raise ValueError("the plane reduction needs a positive degree")
     sys = normalize(associate_system(inp), tau)
     steps: list[ReductionStep] = []
     while True:
@@ -409,7 +418,7 @@ def reference_reduction(inp: ThresholdInput, tau: RationalLike) -> ThresholdResu
             move = Move.TERMINATE if nxt is None else Move.MERGE
         steps.append(ReductionStep(sys, k, move))
         if nxt is None:
-            return ThresholdResult(_terminal_t0(sys.degree.a, sys.degree.b, inp.qs), tuple(steps))
+            return ThresholdResult(_terminal_t0(sys.degree.a, sys.degree.b, inp.specialized), tuple(steps))
         sys = nxt
 
 

@@ -2,8 +2,9 @@
 
 A space system (delta; q_1, ..., q_s | 1^p) records a rational degree delta,
 multiplicities q_j along s lines specialized to one ruling of a fixed smooth
-quadric Q, and p very general lines of multiplicity one.  The degeneration
-loop either
+quadric Q, and p very general lines of multiplicity one.  Its type,
+SpaceSystem, is defined in plane.py: each state of the loop is passed as it
+is to the plane reduction.  The degeneration loop either
 
   * stops with "yes" when the degree is forced below a prescribed
     multiplicity (delta < 1 with p >= 1, or delta < q_j, or delta <= 0) --
@@ -31,12 +32,7 @@ from fractions import Fraction
 
 from .cubic import AsymptoticCubic, largest_root
 from .linform import RationalLike, as_rational
-from .plane import (
-    MAX_STEPS,
-    IterationLimitError,
-    ThresholdInput,
-    quadric_threshold,
-)
+from .plane import MAX_STEPS, IterationLimitError, SpaceSystem, quadric_threshold
 
 
 class LMove(str, enum.Enum):
@@ -44,23 +40,6 @@ class LMove(str, enum.Enum):
     SPECIALIZE = "specialize"
     TERMINATE_YES = "terminate-yes"
     TERMINATE_NO = "terminate-no"
-
-
-@dataclass(frozen=True)
-class SpaceSystem:
-    delta: Fraction
-    specialized: tuple[Fraction, ...]
-    p: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", as_rational(self.delta))
-        object.__setattr__(
-            self, "specialized", tuple(as_rational(q) for q in self.specialized)
-        )
-        if any(q <= 0 for q in self.specialized):
-            raise ValueError("specialized multiplicities must stay positive")
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -94,14 +73,6 @@ def _exit_yes(delta: Fraction, p: int, q_max: Fraction | None) -> bool:
     return q_max is not None and delta < q_max
 
 
-def _derived(delta: Fraction, specialized: tuple[Fraction, ...], p: int) -> SpaceSystem:
-    """A SpaceSystem built from a checked one by a loop move, without
-    re-checking its O(s) multiplicities."""
-    sys = object.__new__(SpaceSystem)
-    sys.__dict__.update(delta=delta, specialized=specialized, p=p)
-    return sys
-
-
 def certify_lower_bound(
     delta: RationalLike,
     s: int,
@@ -130,22 +101,18 @@ def certify_lower_bound(
         if _exit_yes(d, p, qs[-1] if qs else None):
             steps.append(DegenerationStep(sys, None, LMove.TERMINATE_YES))
             return DegenerationResult(True, tuple(steps))
-        t0 = quadric_threshold(
-            ThresholdInput(d, qs, p),
-            tau,
-            want_trace=False,
-        ).t0
+        t0 = quadric_threshold(sys, tau, want_trace=False).t0
         if t0 >= tau or (t0 > 0 and qs and t0 == qs[0]):
             steps.append(DegenerationStep(sys, t0, LMove.SUBTRACT))
             # the lines that reach zero are a prefix
             drop = 0
             while drop < len(qs) and qs[drop] <= t0:
                 drop += 1
-            sys = _derived(d - 2 * t0, tuple(q - t0 for q in qs[drop:]), p)
+            sys = SpaceSystem(d - 2 * t0, tuple(q - t0 for q in qs[drop:]), p)
             continue
         if p > 0:
             steps.append(DegenerationStep(sys, t0, LMove.SPECIALIZE))
-            sys = _derived(d, qs + (Fraction(1),), p - 1)
+            sys = SpaceSystem(d, qs + (Fraction(1),), p - 1)
             continue
         steps.append(DegenerationStep(sys, t0, LMove.TERMINATE_NO))
         return DegenerationResult(False, tuple(steps))
@@ -179,8 +146,7 @@ def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[
         if step.move is LMove.SUBTRACT:
             if t is None or t <= 0 or sys.delta <= 0:
                 raise AssertionError(f"step {i}: subtraction of {t} from degree {sys.delta}")
-            inp = ThresholdInput(sys.delta, sys.specialized, sys.p)
-            t0 = quadric_threshold(inp, tau, want_trace=False).t0
+            t0 = quadric_threshold(sys, tau, want_trace=False).t0
             if t > t0:
                 raise AssertionError(f"step {i}: subtraction of {t} exceeds the threshold {t0}")
             expect = (sys.delta - 2 * t, tuple(q - t for q in sys.specialized if q > t), sys.p)

@@ -20,7 +20,7 @@ from waldlines.bounds import (
 from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import (
     PlaneSystem,
-    ThresholdInput,
+    SpaceSystem,
     apply_cremona,
     normalize,
     quadric_threshold,
@@ -38,21 +38,21 @@ def random_fraction(rng: random.Random, num_max: int = 40, den_max: int = 12) ->
     return Fraction(rng.randint(1, num_max), rng.randint(1, den_max))
 
 
-def random_threshold_input(rng: random.Random) -> ThresholdInput:
+def random_threshold_input(rng: random.Random) -> SpaceSystem:
     delta = random_fraction(rng, 160, 20)
     s = rng.randint(0, 4)
     qs = tuple(random_fraction(rng) for _ in range(s))
     p = rng.randint(0, 6)
-    return ThresholdInput(delta, qs, p)
+    return SpaceSystem(delta, qs, p)
 
 
-def random_kernel_input(rng: random.Random) -> ThresholdInput:
+def random_kernel_input(rng: random.Random) -> SpaceSystem:
     """Wider inputs than random_threshold_input: up to 12 unsorted q_j with
     unlike denominators, so that their lcm is rarely that of delta and sum(q_j),
     and up to 40 general lines."""
     delta = random_fraction(rng, 400, 30)
     qs = tuple(random_fraction(rng, 60, 50) for _ in range(rng.randint(0, 12)))
-    return ThresholdInput(delta, qs, rng.randint(0, 40))
+    return SpaceSystem(delta, qs, rng.randint(0, 40))
 
 
 def random_linform(rng: random.Random, span: int = 30) -> LinForm:
@@ -67,7 +67,7 @@ def random_plane_system(rng: random.Random) -> PlaneSystem:
     return normalize(PlaneSystem.of(random_linform(rng), mults), TAU)
 
 
-def reduction_signature(inp: ThresholdInput, tau: Fraction) -> str:
+def reduction_signature(inp: SpaceSystem, tau: Fraction) -> str:
     res = quadric_threshold(inp, tau)
     return json.dumps(
         {"t0": str(res.t0), "steps": [step_to_json(s) for s in res.steps]},
@@ -110,7 +110,7 @@ def suite_threshold_range(cases: int = 1000) -> tuple[bool, str]:
         t0 = quadric_threshold(inp, TAU, want_trace=False).t0
         if t0 < 0:
             return False, f"case {i}: t0 = {t0} < 0"
-        if inp.qs and t0 > min(inp.qs):
+        if inp.specialized and t0 > min(inp.specialized):
             return False, f"case {i}: t0 = {t0} > min q"
     return True, f"{cases} randomized inputs"
 

@@ -22,7 +22,7 @@ from waldlines.bounds import (
     strong_sqrt_check,
 )
 from waldlines.cubic import AsymptoticCubic, largest_root
-from waldlines.plane import ThresholdInput, format_system, quadric_threshold, reference_reduction
+from waldlines.plane import SpaceSystem, format_system, quadric_threshold, reference_reduction
 from waldlines.report import build_report
 from waldlines.space import LMove, best_bound, certify_lower_bound, format_space_system
 from test_plane import GOLDEN_REDUCTION
@@ -42,7 +42,7 @@ def check(cid: str, ok: bool, detail: str = "") -> None:
 
 def test_c1_plane_reduction_golden_trace():
     start = time.monotonic()
-    inp = ThresholdInput(F(7), (F(1),) * 5, 15)
+    inp = SpaceSystem(F(7), (F(1),) * 5, 15)
     res = quadric_threshold(inp, TAU)
     elapsed = time.monotonic() - start
     ok = res.t0 == F(8, 141) and len(res.steps) == 19 and res == reference_reduction(inp, TAU)

@@ -6,7 +6,7 @@ import pytest
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
 from waldlines.linform import as_rational, parse_linform
-from waldlines.plane import ThresholdInput
+from waldlines.plane import SpaceSystem
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -17,9 +17,9 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 class TestInputParsing:
     def test_t_input(self):
-        assert parse_t_input("7;1,1,1,1,1;15") == ThresholdInput(F(7), (F(1),) * 5, 15)
-        assert parse_t_input("4;;8") == ThresholdInput(F(4), (), 8)
-        assert parse_t_input("10096/5045;3/5045,1;4") == ThresholdInput(
+        assert parse_t_input("7;1,1,1,1,1;15") == SpaceSystem(F(7), (F(1),) * 5, 15)
+        assert parse_t_input("4;;8") == SpaceSystem(F(4), (), 8)
+        assert parse_t_input("10096/5045;3/5045,1;4") == SpaceSystem(
             F(10096, 5045), (F(3, 5045), F(1)), 4
         )
 
@@ -259,6 +259,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "thm4", "--range", "4..4")
         assert code == 0  # known exceptions are not violations
         assert "exception" in out
+        # s = 1, 2, 3, 5 hold by their exact constants
+        code, out, _ = run(capsys, "verify", "thm4", "--range", "1..10")
+        assert code == 0
+        assert "exceptions: [4, 7, 10]" in out
+        assert out.count("ok [exact-value]") == 4
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "thm4", "--range", "9..2")

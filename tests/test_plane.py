@@ -9,7 +9,7 @@ from waldlines.linform import LinForm, parse_linform
 from waldlines.plane import (
     Move,
     PlaneSystem,
-    ThresholdInput,
+    SpaceSystem,
     apply_cremona,
     associate_system,
     cremona_k,
@@ -34,15 +34,15 @@ def ps(text: str) -> PlaneSystem:
 
 class TestAssociateSystem:
     def test_five_lines_fifteen_general(self):
-        got = associate_system(ThresholdInput(F(7), (F(1),) * 5, 15))
+        got = associate_system(SpaceSystem(F(7), (F(1),) * 5, 15))
         assert got == ps("L2(9+t; 7-2t, 2+3t, 1^30)")
 
     def test_no_specialized_lines(self):
-        got = associate_system(ThresholdInput(F(4), (), 8))
+        got = associate_system(SpaceSystem(F(4), (), 8))
         assert got == ps("L2(8-4t; 4-2t^2, 1^16)")
 
     def test_three_lines_five_general(self):
-        got = associate_system(ThresholdInput(F(4), (F(1),) * 3, 5))
+        got = associate_system(SpaceSystem(F(4), (F(1),) * 3, 5))
         assert got == ps("L2(5-t; 4-2t, 1+t, 1^10)")
 
 
@@ -152,7 +152,7 @@ GOLDEN_REDUCTION = [
     ("L2(-8+141t; 3t)", None, Move.TERMINATE),
 ]
 
-GOLDEN_INPUT = ThresholdInput(F(7), (F(1),) * 5, 15)
+GOLDEN_INPUT = SpaceSystem(F(7), (F(1),) * 5, 15)
 
 
 class TestReduction:
@@ -171,18 +171,18 @@ class TestReduction:
     def test_mid_degeneration_thresholds(self):
         base = F(10096, 5045)
         small = (F(3, 5045),) * 3
-        assert quadric_threshold(ThresholdInput(base, small + (F(1),), 4), TAU).t0 == F(3, 5045)
-        assert quadric_threshold(ThresholdInput(base, small, 5), TAU).t0 == 0
+        assert quadric_threshold(SpaceSystem(base, small + (F(1),), 4), TAU).t0 == F(3, 5045)
+        assert quadric_threshold(SpaceSystem(base, small, 5), TAU).t0 == 0
 
     def test_three_lines_threshold(self):
-        assert quadric_threshold(ThresholdInput(F(4), (F(1),) * 3, 5), TAU).t0 == F(4, 7)
+        assert quadric_threshold(SpaceSystem(F(4), (F(1),) * 3, 5), TAU).t0 == F(4, 7)
 
     def test_no_specialized_lines_returns_zero(self):
-        assert quadric_threshold(ThresholdInput(F(4), (), 8), TAU).t0 == 0
+        assert quadric_threshold(SpaceSystem(F(4), (), 8), TAU).t0 == 0
 
     def test_min_q_caps_threshold(self):
         # terminal degree root 8/141 > 1/20 = min q, so the q wins
-        res = quadric_threshold(ThresholdInput(F(7), (F(1, 20),) + (F(1),) * 4, 15), TAU)
+        res = quadric_threshold(SpaceSystem(F(7), (F(1, 20),) + (F(1),) * 4, 15), TAU)
         assert 0 <= res.t0 <= F(1, 20)
 
     def test_trace_optional(self):
@@ -191,12 +191,14 @@ class TestReduction:
         assert res.steps == ()
 
     def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="positive degree"):
+            quadric_threshold(SpaceSystem(F(0), (), 3), TAU)
+        with pytest.raises(ValueError, match="positive degree"):
+            reference_reduction(SpaceSystem(F(0), (), 3), TAU)
         with pytest.raises(ValueError):
-            ThresholdInput(F(0), (), 3)
+            SpaceSystem(F(2), (F(0),), 3)
         with pytest.raises(ValueError):
-            ThresholdInput(F(2), (F(0),), 3)
-        with pytest.raises(ValueError):
-            ThresholdInput(F(2), (), -1)
+            SpaceSystem(F(2), (), -1)
         with pytest.raises(ValueError):
             quadric_threshold(GOLDEN_INPUT, F(0))
 
@@ -214,8 +216,8 @@ class TestKernelOracle:
             want = reference_reduction(inp, tau)
             assert quadric_threshold(inp, tau) == want, (i, inp, tau)
             assert quadric_threshold(inp, tau, want_trace=False).t0 == want.t0, (i, inp, tau)
-            dens = [q.denominator for q in inp.qs]
-            q_den = sum(inp.qs, F(0)).denominator
+            dens = [q.denominator for q in inp.specialized]
+            q_den = sum(inp.specialized, F(0)).denominator
             coarser += math.lcm(inp.delta.denominator, q_den) < math.lcm(inp.delta.denominator, *dens)
         # a fifth of the inputs scale by less than the lcm of all their
         # denominators

@@ -138,5 +138,7 @@ class TestCache:
 
     def test_unreadable_cache_is_empty(self, tmp_path):
         path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        assert ResultCache(path).get(10, TAU, GRID, EPS) is None
+        # not JSON, then JSON that is not an object of objects
+        for payload in ("{not json", "[]", "null", '"x"', '{"entries": 5}'):
+            path.write_text(payload)
+            assert ResultCache(path).get(10, TAU, GRID, EPS) is None, payload

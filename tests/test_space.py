@@ -8,7 +8,7 @@ import pytest
 import helpers
 from waldlines import space
 from waldlines.cubic import AsymptoticCubic, largest_root
-from waldlines.plane import ThresholdInput, associate_system, reference_reduction
+from waldlines.plane import associate_system, reference_reduction
 from waldlines.space import (
     DegenerationResult,
     DegenerationStep,
@@ -52,7 +52,7 @@ def scan_best_bound(s: int, tau: F, grid: F) -> F:
 class TestRestrictToQuadric:
     def test_plane_data_at_zero(self):
         # at t = 0 the associated system is (2d - mu; d, d - mu, 1^(2p))
-        inp = ThresholdInput(F(7), (F(1),) * 5, 15)
+        inp = SpaceSystem(F(7), (F(1),) * 5, 15)
         sys = associate_system(inp)
         assert sys.degree(0) == 9
         vals = [lf(0) for lf, n in sys.groups for _ in range(min(n, 2))]
@@ -60,7 +60,7 @@ class TestRestrictToQuadric:
         assert sys.mult_count == 2 + 30
 
     def test_empty_specialization(self):
-        sys = associate_system(ThresholdInput(F(5), (), 0))
+        sys = associate_system(SpaceSystem(F(5), (), 0))
         assert sys.degree.a == 10 and sys.degree.b == -4
         assert sys.groups == ((sys.groups[0][0], 2),)
         assert sys.groups[0][0].a == 5 and sys.groups[0][0].b == -2
@@ -149,8 +149,7 @@ class TestDegeneration:
         res = certify_lower_bound(PINNED_BEST[50], 50, TAU)
         subtract = [st for st in res.steps if st.move is LMove.SUBTRACT]
         for st in random.Random(50).sample(subtract, 10):
-            inp = ThresholdInput(st.system.delta, st.system.specialized, st.system.p)
-            assert reference_reduction(inp, TAU).t0 == st.t0
+            assert reference_reduction(st.system, TAU).t0 == st.t0
 
     def test_sub_tau_subtraction_removes_lines(self):
         # the step at t0 = 3/5045 < tau is taken because t0 equals the least
