@@ -23,7 +23,6 @@ from .plane import (
     format_system,
     merge_four,
     normalize,
-    parse_system,
     quadric_threshold,
     reference_reduction,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "format_system",
     "merge_four",
     "normalize",
-    "parse_system",
     "quadric_threshold",
     "reference_reduction",
     "DegenerationResult",

@@ -49,7 +49,10 @@ class ResultCache:
         self, s: int, tau: Fraction, grid: Fraction, precision: Fraction
     ) -> BoundReport | None:
         raw = self._entries.get(cache_key(s, tau, grid, precision))
-        return None if raw is None else report_from_json_dict(raw)
+        try:  # an entry that is not a readable report is a miss
+            return None if raw is None else report_from_json_dict(raw)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            return None
 
     def put(self, report: BoundReport, tau: Fraction, grid: Fraction) -> None:
         """Store under the report's own s and e_s precision, dropping every

@@ -14,10 +14,12 @@ repeatedly
 
 Both moves preserve semi-effectivity, so if the terminal degree a + b*t is
 forced negative on a t-range the original system is stably empty there.  The
-input is a space system (delta; q_1..q_s | 1^p), the one state type that the
-degeneration loop in space.py also steps through, and the returned threshold
-t0 encodes that range: its restriction-to-quadric system is stably empty for
-all rational 0 <= t < t0.
+input is a space system (delta; q_1..q_s | 1^p) and the returned threshold t0
+encodes that range: its restriction-to-quadric system is stably empty for all
+rational 0 <= t < t0.  The reduction reads the q_j only through three
+aggregates, their count, sum and least value (SystemAggregates): a
+SpaceSystem computes them from its multiplicities, and the degeneration loop
+in space.py keeps them up to date in O(1) per step.
 
 Multiplicity lists are kept run-length encoded: systems routinely carry
 hundreds of repeated entries (1^2p blocks), and every move touches at most a
@@ -31,15 +33,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Protocol
 
-from .linform import (
-    LinForm,
-    RationalLike,
-    as_rational,
-    format_linform,
-    parse_linform,
-)
+from .linform import LinForm, RationalLike, as_rational, format_linform
 
 
 class IterationLimitError(RuntimeError):
@@ -71,28 +67,9 @@ class PlaneSystem:
     degree: LinForm
     groups: Groups
 
-    @classmethod
-    def of(cls, degree: LinForm, mults: Iterable[LinForm]) -> "PlaneSystem":
-        """Build from an explicit multiplicity list, squeezing adjacent runs."""
-        return cls(degree, _squeeze(_as_group_list(mults)))
-
     @property
     def mult_count(self) -> int:
         return sum(n for _, n in self.groups)
-
-
-def _as_group_list(mults: Iterable[LinForm | tuple[LinForm, int]]) -> list[tuple[LinForm, int]]:
-    out: list[tuple[LinForm, int]] = []
-    for m in mults:
-        if isinstance(m, LinForm):
-            out.append((m, 1))
-        else:
-            lf, n = m
-            if n < 0:
-                raise ValueError("negative multiplicity count")
-            if n > 0:
-                out.append((lf, n))
-    return out
 
 
 def _squeeze(groups: list[tuple[LinForm, int]]) -> Groups:
@@ -128,6 +105,29 @@ class SpaceSystem:
         if self.p < 0:
             raise ValueError("p must be nonnegative")
 
+    @property
+    def q_count(self) -> int:
+        return len(self.specialized)
+
+    @property
+    def q_sum(self) -> Fraction:
+        return sum(self.specialized, Fraction(0))
+
+    @property
+    def q_min(self) -> Fraction | None:
+        return min(self.specialized, default=None)
+
+
+class SystemAggregates(Protocol):
+    """What the plane reduction reads of a space system (a SpaceSystem or the
+    degeneration loop's state); q_min is None when no line is specialized."""
+
+    delta: Fraction
+    p: int
+    q_count: int
+    q_sum: Fraction
+    q_min: Fraction | None
+
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -145,7 +145,7 @@ class ThresholdResult:
     steps: tuple[ReductionStep, ...]
 
 
-def associate_system(inp: SpaceSystem) -> PlaneSystem:
+def associate_system(inp: SystemAggregates) -> PlaneSystem:
     """The t-parametrized plane system attached to (delta; q_1..q_s | 1^p).
 
     Restriction to a smooth quadric carrying the s specialized lines in one
@@ -153,12 +153,11 @@ def associate_system(inp: SpaceSystem) -> PlaneSystem:
     L2(2*delta - q + (s-4)t; delta - 2t, delta - q + (s-2)t, 1^(2p))
     where q is the sum of the q_j.
     """
-    q = sum(inp.specialized, Fraction(0))
-    s = len(inp.specialized)
+    q, s = inp.q_sum, inp.q_count
     degree = LinForm(2 * inp.delta - q, Fraction(s - 4))
     m1 = LinForm(inp.delta, Fraction(-2))
     m2 = LinForm(inp.delta - q, Fraction(s - 2))
-    groups = _as_group_list([m1, m2])
+    groups = [(m1, 1), (m2, 1)]
     if inp.p > 0:
         groups.append((LinForm.const(1), 2 * inp.p))
     return PlaneSystem(degree, _squeeze(groups))
@@ -237,30 +236,29 @@ def merge_four(sys: PlaneSystem, tau: RationalLike) -> PlaneSystem | None:
 MAX_STEPS = 1_000_000
 
 
-def _terminal_t0(a: int | Fraction, b: int | Fraction, qs: tuple[Fraction, ...]) -> Fraction:
+def _terminal_t0(a: int | Fraction, b: int | Fraction, q_min: Fraction | None) -> Fraction:
     """The threshold formula of :func:`quadric_threshold` for the terminal
     degree a + b*t, which may be given at any positive scale."""
     if a >= 0:
         return Fraction(0)
     if b <= 0:
-        return min(qs, default=Fraction(0))
-    return min([Fraction(-a, b), *qs])
+        return Fraction(0) if q_min is None else q_min
+    root = Fraction(-a, b)
+    return root if q_min is None else min(root, q_min)
 
 
-def _scaled_groups(inp: SpaceSystem) -> tuple[int, int, int, list[list[int]]]:
+def _scaled_groups(inp: SystemAggregates) -> tuple[int, int, int, list[list[int]]]:
     """Integer form of the associated system, scaled by the lcm D of the
     denominators of delta and of q = sum(q_j): returns (D, deg_a, deg_b,
     groups) with groups entries [a, b, count].  The system depends on the
     q_j only through q, and scaling it uniformly changes no comparison and no
     root, so the reduction may run entirely in integer arithmetic.
     """
-    # one lcm and integer terms: cheaper than a chain of Fraction additions
-    L = math.lcm(*(qi.denominator for qi in inp.specialized))
-    q_sum = Fraction(sum(qi.numerator * (L // qi.denominator) for qi in inp.specialized), L)
+    q_sum = inp.q_sum
     D = math.lcm(inp.delta.denominator, q_sum.denominator)
     delta = inp.delta.numerator * (D // inp.delta.denominator)
     q = q_sum.numerator * (D // q_sum.denominator)
-    s = len(inp.specialized)
+    s = inp.q_count
     deg_a, deg_b = 2 * delta - q, D * (s - 4)
     groups = [[delta, -2 * D, 1], [delta - q, D * (s - 2), 1]]
     if inp.p > 0:
@@ -278,25 +276,29 @@ def _unscale(D: int, deg_a: int, deg_b: int, groups: list[list[int]]) -> PlaneSy
 
 
 def quadric_threshold(
-    inp: SpaceSystem,
+    inp: SystemAggregates,
     tau: RationalLike,
     *,
     want_trace: bool = True,
 ) -> ThresholdResult:
     """Reduce the plane system associated with ``inp``, whose degree must be
-    positive, and return the threshold t0.
+    positive, and return the threshold t0.  Of ``inp`` only delta, p,
+    q_count, q_sum and q_min are read: a SpaceSystem computes them from its
+    q_j, the degeneration loop's state holds them, so a call from the loop
+    does no work per specialized line.
 
     The loop alternates normalization, Cremona moves (while k(tau) < 0) and
     four-fold merges until neither applies.  With terminal degree a + b*t the
     threshold is
 
         0                      if a >= 0,
-        min(q_j)               if a < 0 and b <= 0,
-        min(-a/b, q_1..q_s)    otherwise,
+        q_min                  if a < 0 and b <= 0,
+        min(-a/b, q_min)       otherwise,
 
-    where an empty q-list drops the min(q_j) candidates (and the middle case
-    returns 0).  ``want_trace=False`` skips step recording on hot paths.
-    The result equals that of :func:`reference_reduction`.
+    where q_min is the least q_j; with no specialized lines it drops out
+    (and the middle case returns 0).  ``want_trace=False`` skips step
+    recording on hot paths.  The result equals that of
+    :func:`reference_reduction`.
 
     Internally the loop runs on the integer system scaled by
     lcm(den(delta), den(sum q_j)); evaluation at tau = tn/td becomes the
@@ -396,10 +398,10 @@ def quadric_threshold(
         raise IterationLimitError(
             f"plane reduction exceeded {MAX_STEPS} steps for input {inp}"
         )
-    return ThresholdResult(_terminal_t0(deg_a, deg_b, inp.specialized), tuple(steps))
+    return ThresholdResult(_terminal_t0(deg_a, deg_b, inp.q_min), tuple(steps))
 
 
-def reference_reduction(inp: SpaceSystem, tau: RationalLike) -> ThresholdResult:
+def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdResult:
     """The reduction of :func:`quadric_threshold` by the public Fraction
     operations alone: normalize, a Cremona move while k(tau) < 0, else a
     four-fold merge, recording every state.  The oracle for the integer
@@ -418,7 +420,7 @@ def reference_reduction(inp: SpaceSystem, tau: RationalLike) -> ThresholdResult:
             move = Move.TERMINATE if nxt is None else Move.MERGE
         steps.append(ReductionStep(sys, k, move))
         if nxt is None:
-            return ThresholdResult(_terminal_t0(sys.degree.a, sys.degree.b, inp.specialized), tuple(steps))
+            return ThresholdResult(_terminal_t0(sys.degree.a, sys.degree.b, inp.q_min), tuple(steps))
         sys = nxt
 
 
@@ -429,25 +431,6 @@ def format_system(sys: PlaneSystem) -> str:
         for lf, n in sys.groups
     ]
     return f"L2({format_linform(sys.degree)}; {', '.join(parts)})"
-
-
-def parse_system(text: str) -> PlaneSystem:
-    """Inverse of :func:`format_system` (the "L2(" prefix is optional)."""
-    s = text.strip()
-    if s.startswith("L2(") and s.endswith(")"):
-        s = s[3:-1]
-    elif s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    head, _, tail = s.partition(";")
-    degree = parse_linform(head)
-    groups: list[tuple[LinForm, int]] = []
-    tail = tail.strip()
-    if tail:
-        for chunk in tail.split(","):
-            base, sep, exp = chunk.partition("^")
-            n = int(exp) if sep else 1
-            groups.append((parse_linform(base), n))
-    return PlaneSystem(degree, _squeeze(groups))
 
 
 def step_to_json(step: ReductionStep) -> dict:

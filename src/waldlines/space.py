@@ -3,8 +3,7 @@
 A space system (delta; q_1, ..., q_s | 1^p) records a rational degree delta,
 multiplicities q_j along s lines specialized to one ruling of a fixed smooth
 quadric Q, and p very general lines of multiplicity one.  Its type,
-SpaceSystem, is defined in plane.py: each state of the loop is passed as it
-is to the plane reduction.  The degeneration loop either
+SpaceSystem, is defined in plane.py.  The degeneration loop either
 
   * stops with "yes" when the degree is forced below a prescribed
     multiplicity (delta < 1 with p >= 1, or delta < q_j, or delta <= 0) --
@@ -22,13 +21,23 @@ A subtraction is taken when t0 >= tau, and also when 0 < t0 < tau but t0
 equals the least specialized multiplicity: such a step removes at least one
 specialized line, so termination is preserved, and the worked traces this
 code reproduces take exactly these sub-tau steps.
+
+The loop does not build its states.  It runs on the aggregates the plane
+reduction reads (count, sum and least value of the q_j) plus the greatest q_j
+for the exit, kept up to date in amortized O(1) Fraction operations per step,
+and records a compact certificate: the start (delta, s) and one (move, t0)
+pair per step.  DegenerationResult.steps rebuilds the SpaceSystem states
+from it on first read, so callers that only read the answer never build
+them.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .cubic import AsymptoticCubic, largest_root
 from .linform import RationalLike, as_rational
@@ -53,10 +62,43 @@ class DegenerationStep:
     move: LMove
 
 
-@dataclass(frozen=True)
+Certificate = tuple[Fraction, int, tuple[tuple[LMove, Fraction | None], ...]]
+
+
+def _successor(sys: SpaceSystem, move: LMove, t: Fraction | None) -> tuple:
+    """(delta, specialized, p) after a SUBTRACT of t, else a SPECIALIZE: a
+    plain tuple, so that the replay compares an impossible successor (p < 0)
+    instead of SpaceSystem raising on it."""
+    if move is LMove.SUBTRACT:
+        return sys.delta - 2 * t, tuple(q - t for q in sys.specialized if q > t), sys.p
+    return sys.delta, sys.specialized + (Fraction(1),), sys.p - 1
+
+
 class DegenerationResult:
-    answer: bool
-    steps: tuple[DegenerationStep, ...]
+    """A run's answer and its trace.  The trace is given outright, as a
+    hand-made one is, or rebuilt on first read from the certificate
+    (delta, s, ((move, t0), ...)) that ``certify_lower_bound`` records."""
+
+    def __init__(
+        self,
+        answer: bool,
+        steps: tuple[DegenerationStep, ...] | None = None,
+        *,
+        certificate: Certificate | None = None,
+    ) -> None:
+        self.answer, self._steps, self.certificate = answer, steps, certificate
+
+    @property
+    def steps(self) -> tuple[DegenerationStep, ...]:
+        if self._steps is None:
+            delta, s, moves = self.certificate
+            sys, steps = SpaceSystem(delta, (), s), []
+            for move, t0 in moves:
+                steps.append(DegenerationStep(sys, t0, move))
+                if move is LMove.SUBTRACT or move is LMove.SPECIALIZE:
+                    sys = SpaceSystem(*_successor(sys, move, t0))
+            self._steps = tuple(steps)
+        return self._steps
 
     @property
     def final(self) -> SpaceSystem:
@@ -91,31 +133,37 @@ def certify_lower_bound(
         raise ValueError("tau must be positive")
     if s < 1:
         raise ValueError("s must be positive")
-    # Every subtraction takes the same t0 from each specialized line and new
-    # lines enter at 1, above them all, so `specialized` stays non-decreasing:
-    # its first entry is the least multiplicity and its last the greatest.
-    sys = SpaceSystem(delta, (), s)
-    steps: list[DegenerationStep] = []
+    # The state (delta; q_1..q_m | 1^p) without its q_j: a line specialized
+    # when the subtractions totalled T_j has q_j = 1 - (total - T_j), and
+    # `ends` holds 1 + T_j, the total at which it reaches zero.  New lines
+    # join last with the greatest end, so the least and greatest q_j sit at
+    # the two ends and a subtraction zeroes a prefix.  Since t0 <= q_min,
+    # subtracting t0 lowers the sum of m lines by exactly m*t0.
+    state = SimpleNamespace(delta=delta, p=s, q_count=0, q_sum=Fraction(0), q_min=None)
+    total, ends = Fraction(0), deque()
+    moves: list[tuple[LMove, Fraction | None]] = []
     for _ in range(MAX_STEPS):
-        d, qs, p = sys.delta, sys.specialized, sys.p
-        if _exit_yes(d, p, qs[-1] if qs else None):
-            steps.append(DegenerationStep(sys, None, LMove.TERMINATE_YES))
-            return DegenerationResult(True, tuple(steps))
-        t0 = quadric_threshold(sys, tau, want_trace=False).t0
-        if t0 >= tau or (t0 > 0 and qs and t0 == qs[0]):
-            steps.append(DegenerationStep(sys, t0, LMove.SUBTRACT))
-            # the lines that reach zero are a prefix
-            drop = 0
-            while drop < len(qs) and qs[drop] <= t0:
-                drop += 1
-            sys = SpaceSystem(d - 2 * t0, tuple(q - t0 for q in qs[drop:]), p)
-            continue
-        if p > 0:
-            steps.append(DegenerationStep(sys, t0, LMove.SPECIALIZE))
-            sys = SpaceSystem(d, qs + (Fraction(1),), p - 1)
-            continue
-        steps.append(DegenerationStep(sys, t0, LMove.TERMINATE_NO))
-        return DegenerationResult(False, tuple(steps))
+        if _exit_yes(state.delta, state.p, ends[-1] - total if ends else None):
+            moves.append((LMove.TERMINATE_YES, None))
+            return DegenerationResult(True, certificate=(delta, s, tuple(moves)))
+        t0 = quadric_threshold(state, tau, want_trace=False).t0
+        if t0 >= tau or (t0 > 0 and t0 == state.q_min):
+            moves.append((LMove.SUBTRACT, t0))
+            state.delta -= 2 * t0
+            state.q_sum -= state.q_count * t0
+            total += t0
+            while ends and ends[0] <= total:
+                ends.popleft()
+        elif state.p > 0:
+            moves.append((LMove.SPECIALIZE, t0))
+            state.p -= 1
+            state.q_sum += 1
+            ends.append(total + 1)
+        else:
+            moves.append((LMove.TERMINATE_NO, t0))
+            return DegenerationResult(False, certificate=(delta, s, tuple(moves)))
+        state.q_count = len(ends)
+        state.q_min = ends[0] - total if ends else None
     raise IterationLimitError(
         f"degeneration exceeded {MAX_STEPS} iterations for delta={delta}, s={s}"
     )
@@ -149,12 +197,9 @@ def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[
             t0 = quadric_threshold(sys, tau, want_trace=False).t0
             if t > t0:
                 raise AssertionError(f"step {i}: subtraction of {t} exceeds the threshold {t0}")
-            expect = (sys.delta - 2 * t, tuple(q - t for q in sys.specialized if q > t), sys.p)
-        elif step.move is LMove.SPECIALIZE:
-            expect = (sys.delta, sys.specialized + (Fraction(1),), sys.p - 1)
-        else:
+        elif step.move is not LMove.SPECIALIZE:
             raise AssertionError(f"step {i}: terminal move before end of trace")
-        if expect != (nxt.delta, nxt.specialized, nxt.p):
+        if _successor(sys, step.move, t) != (nxt.delta, nxt.specialized, nxt.p):
             raise AssertionError(f"step {i}: recorded successor diverges from replay")
     last = steps[-1].system
     yes = _exit_yes(last.delta, last.p, max(last.specialized, default=None))

@@ -29,7 +29,7 @@ from waldlines.plane import (
 )
 from waldlines.space import certify_lower_bound, replay_degeneration
 from waldlines.space import step_to_json as l_step_to_json
-from waldlines.linform import LinForm
+from waldlines.linform import LinForm, parse_linform
 
 TAU = Fraction(1, 1000)
 
@@ -55,6 +55,24 @@ def random_kernel_input(rng: random.Random) -> SpaceSystem:
     return SpaceSystem(delta, qs, rng.randint(0, 40))
 
 
+def plane_system(degree: LinForm, mults: list[LinForm]) -> PlaneSystem:
+    """The system with multiplicities ``mults``, one run each, unsorted."""
+    return PlaneSystem(degree, tuple((m, 1) for m in mults))
+
+
+def parse_system(text: str) -> PlaneSystem:
+    """Inverse of plane.format_system (the "L2(" prefix is optional)."""
+    s = text.strip()
+    if s.startswith("L2(") and s.endswith(")"):
+        s = s[3:-1]
+    head, _, tail = s.partition(";")
+    groups = []
+    for chunk in filter(None, (c.strip() for c in tail.split(","))):
+        base, sep, exp = chunk.partition("^")
+        groups.append((parse_linform(base), int(exp) if sep else 1))
+    return PlaneSystem(parse_linform(head), tuple(groups))
+
+
 def random_linform(rng: random.Random, span: int = 30) -> LinForm:
     def coeff() -> Fraction:
         return Fraction(rng.randint(-span, span), rng.randint(1, 10))
@@ -64,7 +82,7 @@ def random_linform(rng: random.Random, span: int = 30) -> LinForm:
 
 def random_plane_system(rng: random.Random) -> PlaneSystem:
     mults = [random_linform(rng) for _ in range(rng.randint(3, 9))]
-    return normalize(PlaneSystem.of(random_linform(rng), mults), TAU)
+    return normalize(plane_system(random_linform(rng), mults), TAU)
 
 
 def reduction_signature(inp: SpaceSystem, tau: Fraction) -> str:

@@ -26,3 +26,9 @@ def test_tracer_installs_and_restores():
     assert space.certify_lower_bound is original
     names = {span[0] for span in tracer.spans}
     assert {"space.certify_lower_bound", "plane.quadric_threshold"} <= names
+    # the span's summary of (4; 1^8), read off the trace the result rebuilds
+    # on demand: answer, SUBTRACT and SPECIALIZE counts, and the largest
+    # denominator bit-length, as the eagerly traced loop reported them
+    summaries = [span[5] for span in tracer.spans if span[0] == "space.certify_lower_bound"]
+    assert summaries == [(True, 10, 4, 23)]
+

@@ -16,7 +16,6 @@ from waldlines.plane import (
     format_system,
     merge_four,
     normalize,
-    parse_system,
     quadric_threshold,
     reference_reduction,
 )
@@ -29,7 +28,7 @@ def lf(text: str) -> LinForm:
 
 
 def ps(text: str) -> PlaneSystem:
-    return parse_system(text)
+    return helpers.parse_system(text)
 
 
 class TestAssociateSystem:
@@ -48,7 +47,7 @@ class TestAssociateSystem:
 
 class TestNormalize:
     def test_kills_negative_entries(self):
-        sys = PlaneSystem.of(
+        sys = helpers.plane_system(
             lf("-1+34t"),
             [lf("-1+17t")] * 3 + [lf("10t")] + [lf("7t")] * 3 + [lf("3t")] * 6,
         )
@@ -59,22 +58,22 @@ class TestNormalize:
         assert normalize(sys, TAU) == sys
 
     def test_sorts_by_value_at_tau(self):
-        sys = PlaneSystem.of(lf("5"), [lf("3t"), lf("2"), lf("1")])
+        sys = helpers.plane_system(lf("5"), [lf("3t"), lf("2"), lf("1")])
         assert normalize(sys, TAU) == ps("L2(5; 2, 1, 3t)")
 
     def test_drops_zero_at_tau(self):
-        sys = PlaneSystem.of(lf("5"), [lf("1"), LinForm(F(-1, 1000), F(1))])
+        sys = helpers.plane_system(lf("5"), [lf("1"), LinForm(F(-1, 1000), F(1))])
         assert normalize(sys, TAU) == ps("L2(5; 1)")
 
     def test_tau_tie_broken_by_coefficients(self):
         # 1 + 1000t equals 2 at tau = 1/1000: the forms keep separate runs,
         # ordered by (value at tau, a, b) whatever the input order
         for mults in ([lf("1+1000t"), lf("2")], [lf("2"), lf("1+1000t")]):
-            sys = normalize(PlaneSystem.of(lf("5"), mults), TAU)
+            sys = normalize(helpers.plane_system(lf("5"), mults), TAU)
             assert sys.groups == ((lf("2"), 1), (lf("1+1000t"), 1))
 
     def test_merges_equal_runs_across_groups(self):
-        sys = PlaneSystem.of(lf("5"), [lf("7t"), lf("1"), lf("7t")])
+        sys = helpers.plane_system(lf("5"), [lf("7t"), lf("1"), lf("7t")])
         assert normalize(sys, TAU).groups == ((lf("1"), 1), (lf("7t"), 2))
 
 
@@ -235,9 +234,9 @@ class TestFormatParse:
         ],
     )
     def test_round_trip(self, text):
-        assert format_system(parse_system(text)) == text
+        assert format_system(ps(text)) == text
 
     def test_empty_multiplicities(self):
-        sys = parse_system("L2(5; )")
+        sys = ps("L2(5; )")
         assert sys.groups == ()
         assert format_system(sys) == "L2(5; )"

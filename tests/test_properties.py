@@ -15,7 +15,6 @@ import helpers
 from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import (
     Move,
-    PlaneSystem,
     apply_cremona,
     cremona_k,
     merge_four,
@@ -82,7 +81,7 @@ class TestMergeContracts:
             for _ in range(rng.randint(1, 4)):
                 mults.extend([helpers.random_linform(rng)] * rng.randint(1, 6))
             sys = normalize(
-                PlaneSystem.of(helpers.random_linform(rng), mults), TAU
+                helpers.plane_system(helpers.random_linform(rng), mults), TAU
             )
             four = [lf for lf, n in sys.groups if n >= 4]
             merged = merge_four(sys, TAU)

@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction as F
 
-from waldlines import cache
+from waldlines import cache, cli
 from waldlines.cache import ResultCache, cache_key, source_fingerprint
 from waldlines.report import (
     build_report,
@@ -142,3 +142,15 @@ class TestCache:
         for payload in ("{not json", "[]", "null", '"x"', '{"entries": 5}'):
             path.write_text(payload)
             assert ResultCache(path).get(10, TAU, GRID, EPS) is None, payload
+
+    def test_unreadable_entry_is_a_miss(self, tmp_path, capsys):
+        # an object under the current key that is not a report is recomputed
+        # and overwritten, not served or raised on
+        path = tmp_path / "cache.json"
+        key = cache_key(5, TAU, GRID, EPS)
+        path.write_text(json.dumps({"entries": {key: {"s": 5}}}))
+        assert ResultCache(path).get(5, TAU, GRID, EPS) is None
+        assert cli.main(["bound", "5", "--no-l", "--cache", str(path)]) == 0
+        capsys.readouterr()
+        entries = json.loads(path.read_text())["entries"]
+        assert entries[key] == report_to_json_dict(quick_report(5))

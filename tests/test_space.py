@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 import helpers
-from waldlines import space
+from waldlines import plane, space
 from waldlines.cubic import AsymptoticCubic, largest_root
-from waldlines.plane import associate_system, reference_reduction
+from waldlines.plane import associate_system, quadric_threshold, reference_reduction
 from waldlines.space import (
     DegenerationResult,
     DegenerationStep,
@@ -150,6 +150,34 @@ class TestDegeneration:
         subtract = [st for st in res.steps if st.move is LMove.SUBTRACT]
         for st in random.Random(50).sample(subtract, 10):
             assert reference_reduction(st.system, TAU).t0 == st.t0
+
+    def test_recorded_thresholds_match_the_states(self):
+        # the loop hands the kernel O(1) aggregates of a state it never
+        # builds; the kernel must give the same t0 on the rebuilt state, for
+        # every move that records one, down to the 300+-bit denominators of
+        # the s = 50 cases
+        for delta, s in GOLDEN_DIGEST_CASES:
+            for i, step in enumerate(certify_lower_bound(delta, s, TAU).steps):
+                if step.t0 is not None:
+                    got = quadric_threshold(step.system, TAU, want_trace=False).t0
+                    assert got == step.t0, (delta, s, i, step.move)
+
+    def test_answers_build_no_states(self, monkeypatch):
+        # answer-only callers must not pay for the trace: no SpaceSystem is
+        # built until .steps is read
+        built = []
+        post_init = plane.SpaceSystem.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(plane.SpaceSystem, "__post_init__", counted)
+        assert best_bound(7, TAU, TAU) == PINNED_BEST[7]
+        res = certify_lower_bound(PINNED_BEST[50], 50, TAU)
+        assert res.answer is True
+        assert built == []
+        assert len(res.steps) == len(built) > 1
 
     def test_sub_tau_subtraction_removes_lines(self):
         # the step at t0 = 3/5045 < tau is taken because t0 equals the least
