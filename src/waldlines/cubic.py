@@ -3,8 +3,11 @@
 The largest real root of t^3 - 3st + 2s is the conjectural value e_s of the
 Waldschmidt constant of s very general lines for s large; the 2k correction
 accounts for k simple intersection points between the lines.  Roots are
-isolated with exact rational bisection; a decimal is produced only when the
-result is rendered.
+isolated by exact integer bisection on the dyadic grid: every point tested is
+an integer m at a scale 2^e, and the cubic's sign there is that of the
+integer 8^e * cubic(m/2^e).  It returns the same brackets as the rational
+bisection it replaced; Fractions are built only for the returned bracket, and
+a decimal only when the result is rendered.
 
 On [1, oo) such a cubic decreases to its minimum at sqrt(s) and then
 increases, so it has at most one root on the increasing branch and the
@@ -57,35 +60,46 @@ class RootBracket:
         return self.hi - self.lo
 
 
-def _bisect(cubic: AsymptoticCubic, lo: Fraction, hi: Fraction, precision: Fraction) -> RootBracket:
-    """Shrink a sign-change bracket (cubic(lo) < 0 < cubic(hi)) below
-    ``precision``, returning an exact bracket if a midpoint hits the root."""
-    while hi - lo >= precision:
-        mid = (lo + hi) / 2
-        v = cubic(mid)
+def _bisect(s: int, c: int, lo: int, hi: int, e: int, precision: Fraction) -> RootBracket:
+    """Shrink the sign-change bracket [lo/2^e, hi/2^e] (cubic negative at lo,
+    positive at hi) below ``precision``, returning an exact bracket if a
+    midpoint hits the root.  ``c`` is the constant term 2s + 2k.
+
+    The midpoint of two points at scale 2^e is lo + hi at scale 2^(e+1), and
+    8^e * cubic(m/2^e) = m^3 - 3s*m*4^e + c*8^e; the width test
+    (hi - lo)/2^e >= precision is cross-multiplied the same way.
+    """
+    num, den = precision.numerator, precision.denominator
+    while (hi - lo) * den >= num << e:
+        mid = lo + hi
+        e += 1
+        v = mid * mid * mid - ((3 * s * mid) << (2 * e)) + (c << (3 * e))
         if v == 0:
-            return RootBracket(mid, mid)
+            x = Fraction(mid, 1 << e)
+            return RootBracket(x, x)
         if v < 0:
-            lo = mid
+            lo, hi = mid, hi << 1
         else:
-            hi = mid
-    return RootBracket(lo, hi)
+            lo, hi = lo << 1, mid
+    return RootBracket(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
 
-def _bisect_right_of_dip(
-    cubic: AsymptoticCubic, lo: Fraction, hi: Fraction, precision: Fraction
-) -> RootBracket:
-    """The largest root in (sqrt(s), hi), where lo <= sqrt(s) and
-    cubic(hi) > 0 and the minimum at sqrt(s) is negative: tighten a rational
-    point x > sqrt(s) with cubic(x) < 0, then bisect [x, hi]."""
-    x = hi
-    while cubic(x) >= 0:
-        mid = (lo + x) / 2
-        if mid * mid <= cubic.s:
-            lo = mid
+def _bisect_right_of_dip(s: int, c: int, lo: int, hi: int, precision: Fraction) -> RootBracket:
+    """The largest root in (sqrt(s), hi), where the integers lo <= sqrt(s) < hi
+    have cubic(hi) > 0 and the minimum at sqrt(s) is negative: tighten a
+    dyadic point x > sqrt(s) with cubic(x) < 0, then bisect [x, hi].  All
+    three points are kept at the common scale 2^e."""
+    x, e = hi, 0
+    while True:
+        mid = lo + x
+        e += 1
+        lo, x, hi = lo << 1, x << 1, hi << 1
+        if mid * mid <= s << (2 * e):
+            lo = mid  # still left of the dip; cubic(x) has not changed
         else:
             x = mid
-    return _bisect(cubic, x, hi, precision)
+            if mid * mid * mid - ((3 * s * mid) << (2 * e)) + (c << (3 * e)) < 0:
+                return _bisect(s, c, x, hi, e, precision)
 
 
 def largest_root(cubic: AsymptoticCubic, precision: RationalLike) -> RootBracket | None:
@@ -100,6 +114,7 @@ def largest_root(cubic: AsymptoticCubic, precision: RationalLike) -> RootBracket
     if precision <= 0:
         raise ValueError("precision must be positive")
     s, k = cubic.s, cubic.k
+    c = 2 * s + 2 * k
     hi_end = math.isqrt(3 * s)
     if hi_end * hi_end < 3 * s:
         hi_end += 1
@@ -112,23 +127,21 @@ def largest_root(cubic: AsymptoticCubic, precision: RationalLike) -> RootBracket
         # Minimum value is exactly 0; s^3 a perfect square forces s square,
         # so the double root sqrt(s) is an exact integer (e.g. s=1, k=0).
         r = math.isqrt(s)
-        assert cubic(r) == 0
+        assert r * (r * r - 3 * s) + c == 0
         x = Fraction(r)
         return RootBracket(x, x)
 
-    prev = Fraction(hi_end)
-    assert cubic(prev) > 0
+    assert hi_end * (hi_end * hi_end - 3 * s) + c > 0
     for j in range(hi_end - 1, 0, -1):
-        x = Fraction(j)
-        v = cubic(x)
+        v = j * (j * j - 3 * s) + c
         if v > 0:
-            prev = x
             continue
         if v == 0 and j * j >= s:
+            x = Fraction(j)
             return RootBracket(x, x)  # on the increasing branch: largest root
         if v < 0:
-            return _bisect(cubic, x, prev, precision)
-        # v == 0 left of the minimum: the largest root hides in (sqrt(s), prev)
-        return _bisect_right_of_dip(cubic, x, prev, precision)
+            return _bisect(s, c, j, j + 1, 0, precision)
+        # v == 0 left of the minimum: the largest root hides in (sqrt(s), j + 1)
+        return _bisect_right_of_dip(s, c, j, j + 1, precision)
     # No sign change on integer points: the dip lies inside one unit interval.
-    return _bisect_right_of_dip(cubic, Fraction(1), Fraction(hi_end), precision)
+    return _bisect_right_of_dip(s, c, 1, hi_end, precision)

@@ -7,6 +7,7 @@ the check bodies live here and return (ok, detail) pairs.
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from waldlines.bounds import (
     sqrt_lower_bound,
     square_specialization_bound,
 )
-from waldlines.cubic import AsymptoticCubic, largest_root
+from waldlines.cubic import AsymptoticCubic, RootBracket, largest_root
 from waldlines.plane import (
     PlaneSystem,
     SpaceSystem,
@@ -100,6 +101,66 @@ def degeneration_signature(delta: Fraction, s: int, tau: Fraction) -> str:
         {"answer": res.answer, "steps": [l_step_to_json(st) for st in res.steps]},
         sort_keys=True,
     )
+
+
+def _reference_bisect(
+    cubic: AsymptoticCubic, lo: Fraction, hi: Fraction, precision: Fraction
+) -> RootBracket:
+    while hi - lo >= precision:
+        mid = (lo + hi) / 2
+        v = cubic(mid)
+        if v == 0:
+            return RootBracket(mid, mid)
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return RootBracket(lo, hi)
+
+
+def _reference_bisect_right_of_dip(
+    cubic: AsymptoticCubic, lo: Fraction, hi: Fraction, precision: Fraction
+) -> RootBracket:
+    x = hi
+    while cubic(x) >= 0:
+        mid = (lo + x) / 2
+        if mid * mid <= cubic.s:
+            lo = mid
+        else:
+            x = mid
+    return _reference_bisect(cubic, x, hi, precision)
+
+
+def reference_largest_root(cubic: AsymptoticCubic, precision: Fraction) -> RootBracket | None:
+    """The Fraction bisection that cubic.largest_root replaced: the oracle
+    for its integer bisection on the dyadic grid.  Every point is evaluated
+    with the public AsymptoticCubic.__call__."""
+    s, k = cubic.s, cubic.k
+    hi_end = math.isqrt(3 * s)
+    if hi_end * hi_end < 3 * s:
+        hi_end += 1
+    hi_end += 1
+    min_sign = s**3 - (s + k) ** 2
+    if min_sign < 0:
+        return None
+    if min_sign == 0:
+        x = Fraction(math.isqrt(s))
+        assert cubic(x) == 0
+        return RootBracket(x, x)
+    prev = Fraction(hi_end)
+    assert cubic(prev) > 0
+    for j in range(hi_end - 1, 0, -1):
+        x = Fraction(j)
+        v = cubic(x)
+        if v > 0:
+            prev = x
+            continue
+        if v == 0 and j * j >= s:
+            return RootBracket(x, x)
+        if v < 0:
+            return _reference_bisect(cubic, x, prev, precision)
+        return _reference_bisect_right_of_dip(cubic, x, prev, precision)
+    return _reference_bisect_right_of_dip(cubic, Fraction(1), Fraction(hi_end), precision)
 
 
 # ---------------------------------------------------------------- suites

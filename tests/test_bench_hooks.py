@@ -6,7 +6,7 @@ import importlib.util
 from fractions import Fraction as F
 from pathlib import Path
 
-from waldlines import space
+from waldlines import cli, space
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -32,3 +32,18 @@ def test_tracer_installs_and_restores():
     summaries = [span[5] for span in tracer.spans if span[0] == "space.certify_lower_bound"]
     assert summaries == [(True, 10, 4, 23)]
 
+
+def root_spans(layers, argv: list[str]) -> int:
+    with layers.traced() as tracer:
+        assert cli.main(argv) == 0
+    return sum(1 for span in tracer.spans if span[0] == "cubic.largest_root")
+
+
+def test_largest_root_spans_one_per_root(tmp_path):
+    # the tracer rebinds largest_root in cubic, space, report and bounds and
+    # counts cubic.largest_root.calls from the spans: one per root enclosed.
+    # A new private binding would drop spans, a recursive call add them.
+    layers = load_layers()
+    assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 20
+    cache = str(tmp_path / "c.json")
+    assert root_spans(layers, ["bound", "5", "--no-l", "--cache", cache]) == 1

@@ -204,6 +204,36 @@ class TestBoundAndTable:
             assert F(e_s["hi"]) - F(e_s["lo"]) <= width
 
 
+# e_s brackets of `table 10,20,...,500 --no-l --format json`, as printed
+# before the bisection moved from Fractions to integers on the dyadic grid:
+# s -> (decimal, lo, hi).  Pinned at the CLI surface, so a bracket that moves
+# in both cubic.largest_root and its test oracle still fails here.
+E_S_GOLDEN = {
+    10: ("5.107250", "5355339/1048576", "1338835/262144"),
+    20: ("7.388233", "7747123/1048576", "1936781/262144"),
+    50: ("11.899421", "12477447/1048576", "1559681/131072"),
+    100: ("16.977025", "4450425/262144", "17801701/1048576"),
+    200: ("24.154501", "12663915/524288", "25327831/1048576"),
+    300: ("29.660941", "15550875/524288", "31101751/1048576"),
+    400: ("34.302744", "17984517/524288", "35969035/1048576"),
+    500: ("38.392095", "40257029/1048576", "20128515/524288"),
+}
+
+
+def test_table_e_s_golden(capsys, tmp_path):
+    s_list = ",".join(map(str, E_S_GOLDEN))
+    code, out, _ = run(
+        capsys, "table", s_list, "--no-l", "--format", "json",
+        "--cache", str(tmp_path / "c.json"),
+    )
+    assert code == 0
+    shown = {
+        r["s"]: (r["e_s"]["decimal"], r["e_s"]["lo"], r["e_s"]["hi"])
+        for r in json.loads(out)
+    }
+    assert shown == E_S_GOLDEN
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

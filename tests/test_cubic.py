@@ -2,9 +2,30 @@ from fractions import Fraction as F
 
 import pytest
 
+import helpers
 from waldlines.cubic import AsymptoticCubic, largest_root
 
 EPS = F(1, 10**6)
+# precision 1 is the width of an integer bracket, so it tells a width test
+# `>= precision` from `> precision`
+PRECISIONS = (F(2), F(1), F(1, 3), F(3, 7), F(1, 10), F(1, 1000), EPS)
+# (s, k) reaching each branch of largest_root
+NO_ROOT = ((1, 1), (2, 1))
+EXACT_MINIMUM = ((1, 0), (4, 4))
+INTEGER_ROOT = ((2, 0), (7, 11))
+ZERO_LEFT_OF_DIP = ((5, 6), (6, 8), (11, 25))
+NO_INTEGER_SIGN_CHANGE = ((12, 29),)
+RIGHT_OF_DIP = ZERO_LEFT_OF_DIP + NO_INTEGER_SIGN_CHANGE
+
+
+def bracket(root):
+    return None if root is None else (root.lo, root.hi, root.is_exact)
+
+
+def assert_matches_oracle(s: int, k: int, precision: F) -> None:
+    cubic = AsymptoticCubic(s, k)
+    ours, oracle = largest_root(cubic, precision), helpers.reference_largest_root(cubic, precision)
+    assert bracket(ours) == bracket(oracle), (s, k, precision)
 
 
 def approx(cubic: AsymptoticCubic, precision=EPS) -> F:
@@ -34,12 +55,37 @@ class TestLargestRoot:
         assert largest_root(AsymptoticCubic(2, 1), EPS) is None
 
     def test_bracket_is_a_sign_change(self):
-        for s in (3, 7, 10, 100, 500):
-            cubic = AsymptoticCubic(s)
+        # evaluated with the public exact evaluator, independently of both
+        # the integer bisection and its Fraction oracle
+        cases = [(s, k) for s in (3, 7, 10, 100, 500) for k in (0, 1, s // 2, s)]
+        for s, k in cases + list(RIGHT_OF_DIP):
+            cubic = AsymptoticCubic(s, k)
             root = largest_root(cubic, EPS)
+            if root is None:
+                assert (s, k) not in RIGHT_OF_DIP
+                continue
             assert root.width() < EPS
-            if not root.is_exact:
+            if root.is_exact:
+                assert cubic(root.lo) == 0
+            else:
                 assert cubic(root.lo) < 0 < cubic(root.hi)
+            assert root.hi * root.hi >= s  # on the increasing branch
+
+    def test_matches_the_fraction_oracle(self):
+        for s in range(1, 301):
+            for k in {0, 1, s // 2, s, 2 * s}:
+                for precision in PRECISIONS:
+                    assert_matches_oracle(s, k, precision)
+
+    def test_matches_the_oracle_on_every_branch(self):
+        for s, k in NO_ROOT:
+            assert largest_root(AsymptoticCubic(s, k), EPS) is None
+        for s, k in EXACT_MINIMUM + INTEGER_ROOT:
+            root = largest_root(AsymptoticCubic(s, k), EPS)
+            assert root.is_exact and root.lo.denominator == 1
+        for s, k in NO_ROOT + EXACT_MINIMUM + INTEGER_ROOT + RIGHT_OF_DIP:
+            for precision in PRECISIONS:
+                assert_matches_oracle(s, k, precision)
 
     def test_known_decimals(self):
         assert abs(approx(AsymptoticCubic(10)) - F("5.107249")) <= F(1, 10**5)
