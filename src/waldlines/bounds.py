@@ -87,15 +87,12 @@ def alpha_max(s: int) -> int:
 
     Counting conditions imposed by s lines on forms of degree alpha - 1 shows
     the initial degree of the ideal of the lines cannot exceed this value.
+    Since 4(a + 2)(a + 1) = (2a + 3)^2 - 1, the condition is
+    (2a + 3)^2 <= 24s + 1, i.e. 2a + 3 <= isqrt(24s + 1).
     """
     if s < 1:
         raise ValueError("s must be positive")
-    a = (math.isqrt(24 * s + 1) - 3) // 2
-    while (a + 3) * (a + 2) <= 6 * s:
-        a += 1
-    while a > 1 and (a + 2) * (a + 1) > 6 * s:
-        a -= 1
-    return a
+    return (math.isqrt(24 * s + 1) - 3) // 2
 
 
 def chudnovsky_bound(s: int) -> Fraction:
@@ -124,24 +121,25 @@ def chudnovsky_verify(s_max: int) -> list[str]:
     For each s checks that the best of the three closed-form lower bounds
     reaches (alpha_max(s) + 1)/2, and that for every a >= 10 with
     (a + 2)(a + 1) <= 6s the inequality sqrt(2s - 1) - 1 >= (a + 1)/2 holds
-    (equivalently 8s - 4 >= (a + 3)^2, checked in integers).  Returns a list
-    of violation descriptions; empty means the chain holds everywhere.
+    (equivalently 8s - 4 >= (a + 3)^2, checked in integers).  The other two
+    bounds are computed only when the sqrt bound falls short, and since
+    (a + 3)^2 grows with a, a = alpha_max(s) decides the second check.
+    Returns a list of violation descriptions; empty means the chain holds
+    everywhere.
     """
     if s_max < 1:
         raise ValueError("s_max must be positive")
     violations: list[str] = []
     for s in range(1, s_max + 1):
         need = chudnovsky_bound(s)
-        have = max(
-            square_specialization_bound(s),
-            sqrt_lower_bound(s),
-            plane_degeneration_bound(s),
-        )
-        if Fraction(have) < need:
-            violations.append(f"s={s}: best closed-form bound {have} < {need}")
-        for a in range(10, alpha_max(s) + 1):
-            if (a + 2) * (a + 1) <= 6 * s and 8 * s - 4 < (a + 3) ** 2:
-                violations.append(f"s={s}, a={a}: 8s-4 < (a+3)^2")
+        have = sqrt_lower_bound(s)
+        if have < need:
+            have = max(have, square_specialization_bound(s), plane_degeneration_bound(s))
+            if have < need:
+                violations.append(f"s={s}: best closed-form bound {have} < {need}")
+        a = alpha_max(s)
+        if a >= 10 and 8 * s - 4 < (a + 3) ** 2:
+            violations.append(f"s={s}, a={a}: 8s-4 < (a+3)^2")
     return violations
 
 

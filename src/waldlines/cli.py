@@ -23,6 +23,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -119,6 +120,8 @@ def _emit_reports(s_list: list[int], args: argparse.Namespace) -> int:
         if rep is None or (rep.l_bound is None and with_l):
             rep = report.build_report(s, tau, grid, precision, with_l=with_l)
             cache.put(rep, tau, grid)
+        elif not with_l:  # a hit may hold the search bound; --no-l prints none
+            rep = dataclasses.replace(rep, l_bound=None)
         reports.append(rep)
     if args.fmt == "json":
         print(json.dumps([report.report_to_json_dict(r) for r in reports], indent=1))

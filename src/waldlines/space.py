@@ -26,14 +26,17 @@ The loop does not build its states.  It runs on the aggregates the plane
 reduction reads (count, sum and least value of the q_j) plus the greatest q_j
 for the exit, kept up to date in amortized O(1) Fraction operations per step,
 and records a compact certificate: the start (delta, s) and one (move, t0)
-pair per step.  DegenerationResult.steps rebuilds the SpaceSystem states
-from it on first read, so callers that only read the answer never build
-them.
+pair per step.  A DegenerationResult is the answer and that certificate.
+Its steps are the SpaceSystem states, rebuilt on first read by one walk that
+rejects any move a state cannot take, so callers that only read the answer
+never build them; replay_degeneration adds only the soundness checks (the
+threshold at every subtraction, and the exit).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,44 +68,39 @@ class DegenerationStep:
 Certificate = tuple[Fraction, int, tuple[tuple[LMove, Fraction | None], ...]]
 
 
-def _successor(sys: SpaceSystem, move: LMove, t: Fraction | None) -> tuple:
-    """(delta, specialized, p) after a SUBTRACT of t, else a SPECIALIZE: a
-    plain tuple, so that the replay compares an impossible successor (p < 0)
-    instead of SpaceSystem raising on it."""
-    if move is LMove.SUBTRACT:
-        return sys.delta - 2 * t, tuple(q - t for q in sys.specialized if q > t), sys.p
-    return sys.delta, sys.specialized + (Fraction(1),), sys.p - 1
-
-
+@dataclass(frozen=True)
 class DegenerationResult:
-    """A run's answer and its trace.  The trace is given outright, as a
-    hand-made one is, or rebuilt on first read from the certificate
-    (delta, s, ((move, t0), ...)) that ``certify_lower_bound`` records."""
+    """A run's answer and its certificate (delta, s, ((move, t0), ...)): the
+    start (delta; | 1^s) and one move per step, with the threshold computed
+    there.  Results compare and hash by these two fields."""
 
-    def __init__(
-        self,
-        answer: bool,
-        steps: tuple[DegenerationStep, ...] | None = None,
-        *,
-        certificate: Certificate | None = None,
-    ) -> None:
-        self.answer, self._steps, self.certificate = answer, steps, certificate
+    answer: bool
+    certificate: Certificate
 
-    @property
+    @functools.cached_property
     def steps(self) -> tuple[DegenerationStep, ...]:
-        if self._steps is None:
-            delta, s, moves = self.certificate
-            sys, steps = SpaceSystem(delta, (), s), []
-            for move, t0 in moves:
-                steps.append(DegenerationStep(sys, t0, move))
-                if move is LMove.SUBTRACT or move is LMove.SPECIALIZE:
-                    sys = SpaceSystem(*_successor(sys, move, t0))
-            self._steps = tuple(steps)
-        return self._steps
-
-    @property
-    def final(self) -> SpaceSystem:
-        return self.steps[-1].system
+        """The states, rebuilt on first read by one walk over the certificate.
+        A move the state cannot take is an AssertionError naming the step."""
+        delta, s, moves = self.certificate
+        if not moves:
+            raise AssertionError("empty certificate")
+        if delta <= 0 or s < 1:
+            raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")
+        sys, steps = SpaceSystem(delta, (), s), []
+        for i, (move, t) in enumerate(moves):
+            steps.append(DegenerationStep(sys, t, move))
+            if move is LMove.SUBTRACT:
+                if t is None or t <= 0 or sys.delta <= 0:
+                    raise AssertionError(f"step {i}: subtraction of {t} from degree {sys.delta}")
+                qs = tuple(q - t for q in sys.specialized if q > t)
+                sys = SpaceSystem(sys.delta - 2 * t, qs, sys.p)
+            elif move is LMove.SPECIALIZE:
+                if sys.p == 0:
+                    raise AssertionError(f"step {i}: specialization with no general line left")
+                sys = SpaceSystem(sys.delta, sys.specialized + (Fraction(1),), sys.p - 1)
+            elif i < len(moves) - 1:
+                raise AssertionError(f"step {i}: terminal move before the end")
+        return tuple(steps)
 
 
 def _exit_yes(delta: Fraction, p: int, q_max: Fraction | None) -> bool:
@@ -145,7 +143,7 @@ def certify_lower_bound(
     for _ in range(MAX_STEPS):
         if _exit_yes(state.delta, state.p, ends[-1] - total if ends else None):
             moves.append((LMove.TERMINATE_YES, None))
-            return DegenerationResult(True, certificate=(delta, s, tuple(moves)))
+            return DegenerationResult(True, (delta, s, tuple(moves)))
         t0 = quadric_threshold(state, tau, want_trace=False).t0
         if t0 >= tau or (t0 > 0 and t0 == state.q_min):
             moves.append((LMove.SUBTRACT, t0))
@@ -161,7 +159,7 @@ def certify_lower_bound(
             ends.append(total + 1)
         else:
             moves.append((LMove.TERMINATE_NO, t0))
-            return DegenerationResult(False, certificate=(delta, s, tuple(moves)))
+            return DegenerationResult(False, (delta, s, tuple(moves)))
         state.q_count = len(ends)
         state.q_min = ends[0] - total if ends else None
     raise IterationLimitError(
@@ -170,43 +168,32 @@ def certify_lower_bound(
 
 
 def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[Fraction, int]:
-    """Check the certificate ``result`` and return the (delta, s) of its
+    """Check the certificate of ``result`` and return the (delta, s) of its
     start system (delta; | 1^s).
 
-    Each recorded system is re-derived from its predecessor and declared
-    move.  A subtraction of t from a state is sound when 0 < t <= t0, its
-    plane-reduction threshold at tau, because the base locus then holds t
-    copies of the quadric; so t0 is re-derived for every SUBTRACT step.  The
-    loop's rule for taking a subtraction (t0 >= tau, or t0 equal to the least
-    specialized multiplicity) only ensures termination and is not checked.
-    A "yes" needs the exit condition on the last system, a "no" its
-    absence.  Every rejection is an AssertionError naming the step.
+    Reading ``result.steps`` walks the certificate and rejects any move its
+    state cannot take.  A subtraction of t from a state is sound when
+    t <= t0, its plane-reduction threshold at tau, because the base locus
+    then holds t copies of the quadric; so t0 is re-derived for every
+    SUBTRACT step.  The loop's rule for taking a subtraction (t0 >= tau, or
+    t0 equal to the least specialized multiplicity) only ensures termination
+    and is not checked.  A "yes" needs the exit condition on the last
+    system, a "no" its absence.  Every rejection is an AssertionError naming
+    the step.
     """
     tau = as_rational(tau)
     steps = result.steps
-    if not steps:
-        raise AssertionError("empty trace")
-    start = steps[0].system
-    if start.specialized or start.p < 1 or start.delta <= 0:
-        raise AssertionError(f"step 0: {format_space_system(start)} is not (delta; | 1^s)")
-    for i, step in enumerate(steps[:-1]):
-        sys, t, nxt = step.system, step.t0, steps[i + 1].system
+    for i, step in enumerate(steps):
         if step.move is LMove.SUBTRACT:
-            if t is None or t <= 0 or sys.delta <= 0:
-                raise AssertionError(f"step {i}: subtraction of {t} from degree {sys.delta}")
-            t0 = quadric_threshold(sys, tau, want_trace=False).t0
-            if t > t0:
-                raise AssertionError(f"step {i}: subtraction of {t} exceeds the threshold {t0}")
-        elif step.move is not LMove.SPECIALIZE:
-            raise AssertionError(f"step {i}: terminal move before end of trace")
-        if _successor(sys, step.move, t) != (nxt.delta, nxt.specialized, nxt.p):
-            raise AssertionError(f"step {i}: recorded successor diverges from replay")
+            t0 = quadric_threshold(step.system, tau, want_trace=False).t0
+            if step.t0 > t0:
+                raise AssertionError(f"step {i}: subtraction of {step.t0} exceeds the threshold {t0}")
     last = steps[-1].system
     yes = _exit_yes(last.delta, last.p, max(last.specialized, default=None))
     want = LMove.TERMINATE_YES if result.answer else LMove.TERMINATE_NO
     if steps[-1].move is not want or yes != result.answer:
         raise AssertionError(f"step {len(steps) - 1}: answer {result.answer} contradicts the exit")
-    return start.delta, start.p
+    return result.certificate[:2]
 
 
 def best_bound(

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from waldlines.bounds import (
+    alpha_max,
     chudnovsky_bound,
     plane_degeneration_bound,
     small_waldschmidt,
@@ -161,6 +162,25 @@ def reference_largest_root(cubic: AsymptoticCubic, precision: Fraction) -> RootB
             return _reference_bisect(cubic, x, prev, precision)
         return _reference_bisect_right_of_dip(cubic, x, prev, precision)
     return _reference_bisect_right_of_dip(cubic, Fraction(1), Fraction(hi_end), precision)
+
+
+def reference_chudnovsky_verify(s_max: int) -> list[str]:
+    """Oracle for bounds.chudnovsky_verify: all three closed-form bounds at
+    every s, and every a = 10..alpha_max(s)."""
+    violations: list[str] = []
+    for s in range(1, s_max + 1):
+        need = chudnovsky_bound(s)
+        have = max(
+            square_specialization_bound(s),
+            sqrt_lower_bound(s),
+            plane_degeneration_bound(s),
+        )
+        if Fraction(have) < need:
+            violations.append(f"s={s}: best closed-form bound {have} < {need}")
+        for a in range(10, alpha_max(s) + 1):
+            if (a + 2) * (a + 1) <= 6 * s and 8 * s - 4 < (a + 3) ** 2:
+                violations.append(f"s={s}, a={a}: 8s-4 < (a+3)^2")
+    return violations
 
 
 # ---------------------------------------------------------------- suites

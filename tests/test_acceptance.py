@@ -65,7 +65,7 @@ def test_c2_degeneration_golden_trace():
     ok = res.answer is True and len(res.steps) == 15
     ok = ok and [str(st.t0) for st in res.steps[1:14]] == expected_t0
     ok = ok and res.steps[0].t0 == 0
-    ok = ok and format_space_system(res.final) == "(6/5045; | 1^4)"
+    ok = ok and format_space_system(res.steps[-1].system) == "(6/5045; | 1^4)"
     ok = ok and res.steps[-1].move is LMove.TERMINATE_YES
     for step, (text, t0, move) in zip(res.steps, GOLDEN_DEGENERATION):
         ok = ok and format_space_system(step.system) == text and step.move is move

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import helpers
+
 from waldlines.bounds import (
     STRONG_BOUND_EXCEPTIONS,
     alpha_max,
@@ -106,7 +108,7 @@ class TestAlphaMax:
 
     def test_window_and_monotonicity(self):
         prev = 0
-        for s in range(1, 1000):
+        for s in range(1, 10**5 + 1):
             a = alpha_max(s)
             assert (a + 2) * (a + 1) <= 6 * s < (a + 3) * (a + 2)
             assert a >= prev
@@ -125,6 +127,9 @@ class TestChudnovsky:
 
     def test_verify_sweep_clean(self):
         assert chudnovsky_verify(1000) == []
+
+    def test_verify_matches_the_double_loop(self):
+        assert chudnovsky_verify(3000) == helpers.reference_chudnovsky_verify(3000)
 
     def test_s2_needs_square_bound(self):
         assert sqrt_lower_bound(2) == 1

@@ -172,6 +172,15 @@ class TestBoundAndTable:
         assert first == second
         assert (tmp_path / "c.json").exists()
 
+    def test_no_l_hit_prints_no_search_bound(self, capsys, tmp_path):
+        # a report cached with its search bound must print as a cold --no-l run
+        argv = ["bound", "7", "--no-l", "--format", "csv", "--cache"]
+        _, cold, _ = run(capsys, *argv, str(tmp_path / "cold.json"))
+        warm = str(tmp_path / "warm.json")
+        run(capsys, "bound", "7", "--cache", warm)
+        _, hit, _ = run(capsys, *argv, warm)
+        assert hit == cold
+
     def test_cache_env_override(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "env-cache.json"
         monkeypatch.setenv("WALDLINES_CACHE", str(target))

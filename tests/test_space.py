@@ -11,7 +11,6 @@ from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import associate_system, quadric_threshold, reference_reduction
 from waldlines.space import (
     DegenerationResult,
-    DegenerationStep,
     LMove,
     SpaceSystem,
     best_bound,
@@ -96,31 +95,26 @@ GOLDEN_DIGEST_CASES = [(F(math.isqrt(5 * s // 2)), s) for s in range(11, 21)] + 
 GOLDEN_DIGEST = "95e3f8059b541a6d0b39952137869825f6f1c42ef0b1d49bc70108cc8d92da53"
 
 
-def trace(*rows) -> tuple[DegenerationStep, ...]:
-    """Steps from (delta, specialized, p, t0, move) rows."""
-    return tuple(DegenerationStep(SpaceSystem(d, qs, p), t0, move) for d, qs, p, t0, move in rows)
-
-
+SPEC, SUB = LMove.SPECIALIZE, LMove.SUBTRACT
+YES, NO = LMove.TERMINATE_YES, LMove.TERMINATE_NO
 OVER = F(4, 7) + F(1, 10**12)  # past the threshold 4/7 at step 3 of (4; 1^8)
-# name -> (answer, steps, the AssertionError replay_degeneration must raise)
+# name -> (answer, certificate, the AssertionError replay_degeneration must raise)
 FORGED = {
     # (29/10; 1 | 1) has threshold 0, and 29/10 exceeds alphahat(2) = 2
-    "past-zero-threshold": (True, trace(
-        (F(29, 10), (), 2, F(0), LMove.SPECIALIZE),
-        (F(29, 10), (F(1),), 1, F(1), LMove.SUBTRACT),
-        (F(9, 10), (), 1, None, LMove.TERMINATE_YES),
-    ), "step 1: subtraction of 1 exceeds the threshold 0"),
-    "past-threshold": (False, trace(
-        *((F(4), (F(1),) * j, 8 - j, F(0), LMove.SPECIALIZE) for j in range(3)),
-        (F(4), (F(1),) * 3, 5, OVER, LMove.SUBTRACT),
-        (4 - 2 * OVER, (1 - OVER,) * 3, 5, None, LMove.TERMINATE_NO),
-    ), "step 3: subtraction of .* exceeds the threshold 4/7"),
-    "specialize-at-p0": (False, trace(
-        (F(2), (), 1, F(0), LMove.SPECIALIZE),
-        (F(2), (F(1),), 0, F(0), LMove.SPECIALIZE),
-        (F(2), (F(1), F(1)), 0, F(0), LMove.TERMINATE_NO),
-    ), "step 1: recorded successor diverges"),
-    "bad-start": (True, trace((F(1, 2), (F(1),), 0, None, LMove.TERMINATE_YES)), "step 0: "),
+    "past-zero-threshold": (True, (F(29, 10), 2, ((SPEC, F(0)), (SUB, F(1)), (YES, None))),
+                            "step 1: subtraction of 1 exceeds the threshold 0"),
+    "past-threshold": (False, (F(4), 8, ((SPEC, F(0)),) * 3 + ((SUB, OVER), (NO, None))),
+                       "step 3: subtraction of .* exceeds the threshold 4/7"),
+    "specialize-at-p0": (False, (F(2), 1, ((SPEC, F(0)), (SPEC, F(0)), (NO, F(0)))),
+                         "step 1: specialization with no general line left"),
+    "bad-start": (True, (F(0), 2, ((YES, None),)), "step 0: "),
+    "empty": (True, (F(4), 8, ()), "empty certificate"),
+    "terminal-before-end": (True, (F(4), 8, ((NO, F(0)), (YES, None))),
+                            "step 0: terminal move before the end"),
+    "subtract-None": (True, (F(2), 1, ((SUB, None), (YES, None))),
+                      "step 0: subtraction of None from degree 2"),
+    "subtract-nonpositive": (True, (F(2), 1, ((SUB, F(0)), (YES, None))),
+                             "step 0: subtraction of 0 from degree 2"),
 }
 
 
@@ -135,13 +129,15 @@ class TestDegeneration:
             assert step.move is move
 
     def test_golden_replay(self):
-        assert replay_degeneration(certify_lower_bound(F(4), 8, TAU), TAU) == (F(4), 8)
+        res = certify_lower_bound(F(4), 8, TAU)
+        assert replay_degeneration(res, TAU) == (F(4), 8)
+        assert {res} == {certify_lower_bound(F(4), 8, TAU)}  # equal by value, hash included
 
     @pytest.mark.parametrize("name", sorted(FORGED))
     def test_replay_rejects_forged_trace(self, name):
-        answer, steps, message = FORGED[name]
+        answer, certificate, message = FORGED[name]
         with pytest.raises(AssertionError, match=message):
-            replay_degeneration(DegenerationResult(answer, steps), TAU)
+            replay_degeneration(DegenerationResult(answer, certificate), TAU)
 
     def test_thresholds_match_reference_reduction(self):
         # the replay re-derives t0 with the integer kernel; sample the
@@ -207,10 +203,6 @@ class TestDegeneration:
         for delta, s in ((F(4), 8), (F(3), 5), (F(5), 9)):
             res = certify_lower_bound(delta, s, TAU)
             assert len(res.steps) <= delta / (2 * TAU) + 2 * s + 2
-
-    def test_replay_rejects_empty_trace(self):
-        with pytest.raises(AssertionError, match="empty trace"):
-            replay_degeneration(DegenerationResult(True, ()), TAU)
 
     @pytest.mark.parametrize("s", range(1, 31))
     def test_specialized_never_decreases(self, s):
