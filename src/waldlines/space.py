@@ -22,15 +22,14 @@ equals the least specialized multiplicity: such a step removes at least one
 specialized line, so termination is preserved, and the worked traces this
 code reproduces take exactly these sub-tau steps.
 
-The loop does not build its states.  It runs on the aggregates the plane
-reduction reads (count, sum and least value of the q_j) plus the greatest q_j
-for the exit, kept up to date in amortized O(1) Fraction operations per step,
-and records a compact certificate: the start (delta, s) and one (move, t0)
-pair per step.  A DegenerationResult is the answer and that certificate.
-Its steps are the SpaceSystem states, rebuilt on first read by one walk that
-rejects any move a state cannot take, so callers that only read the answer
-never build them; replay_degeneration adds only the soundness checks (the
-threshold at every subtraction, and the exit).
+The loop does not build its states.  The loop, replay_degeneration and
+DegenerationResult.steps all advance one private state, which keeps what the
+plane reduction reads in amortized O(1) Fraction operations per step and
+whose move method rejects any move the state cannot take.  The loop records a
+compact certificate, the start (delta, s) and one (move, t0) pair per step; a
+DegenerationResult is the answer and that certificate.  The replay re-derives
+the threshold at every subtraction and checks the exit without building a
+SpaceSystem; only .steps, on first read, materializes the states.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ from __future__ import annotations
 import enum
 import functools
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .cubic import AsymptoticCubic, largest_root
 from .linform import RationalLike, as_rational
@@ -68,6 +67,72 @@ class DegenerationStep:
 Certificate = tuple[Fraction, int, tuple[tuple[LMove, Fraction | None], ...]]
 
 
+class _State:
+    """A state (delta; q_1..q_m | 1^p) without its q_j, holding what the plane
+    reduction reads (plane.SystemAggregates).  A line specialized when the
+    subtractions totalled T_j has q_j = 1 - (total - T_j), and ``ends`` holds
+    1 + T_j, the total at which it reaches zero.  New lines join last with the
+    greatest end, so the least and greatest q_j sit at the two ends and a
+    subtraction zeroes a prefix.  Since t <= t0 <= q_min (the replay checks
+    it), subtracting t lowers the sum of m lines by exactly m*t."""
+
+    def __init__(self, delta: Fraction, s: int) -> None:
+        self.delta, self.p = delta, s
+        self.q_count, self.q_sum, self.q_min = 0, Fraction(0), None
+        self.total, self.ends = Fraction(0), deque()
+
+    @classmethod
+    def walk(cls, certificate: Certificate, tau: Fraction | None = None) -> Iterator[tuple]:
+        """Yield (step, state, move, t) on arrival at each step of the
+        certificate, then take the move; ``tau`` as in :meth:`move`."""
+        delta, s, moves = certificate
+        if not moves:
+            raise AssertionError("empty certificate")
+        if delta <= 0 or s < 1:
+            raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")
+        state = cls(as_rational(delta), s)
+        for i, (move, t) in enumerate(moves):
+            yield i, state, move, t
+            state.move(i, move, t, final=i == len(moves) - 1, tau=tau)
+
+    def exit_yes(self) -> bool:
+        """The "yes" exit: delta <= 0, delta < 1 with p >= 1, or delta < q_max."""
+        if self.delta <= 0 or (self.delta < 1 and self.p >= 1):
+            return True
+        return bool(self.ends) and self.delta < self.ends[-1] - self.total
+
+    def move(self, step: int, move: LMove, t: Fraction | None, final: bool = False,
+             tau: Fraction | None = None) -> None:
+        """Take step ``step`` (``final``: the last) or raise an AssertionError naming
+        it; given ``tau``, a subtraction must also stay within t0 at tau."""
+        if move is LMove.SUBTRACT:
+            t = None if t is None else as_rational(t)
+            if t is None or t.numerator <= 0 or self.delta.numerator <= 0:  # a Fraction's sign
+                raise AssertionError(f"step {step}: subtraction of {t} from degree {self.delta}")
+            if tau is not None:
+                t0 = quadric_threshold(self, tau, want_trace=False).t0
+                if t > t0:
+                    raise AssertionError(f"step {step}: subtraction of {t} exceeds the threshold {t0}")
+            self.delta -= 2 * t
+            self.q_sum -= self.q_count * t
+            self.total += t
+            while self.ends and self.ends[0] <= self.total:
+                self.ends.popleft()
+        elif move is LMove.SPECIALIZE:
+            if self.p == 0:
+                raise AssertionError(f"step {step}: specialization with no general line left")
+            self.p -= 1
+            self.q_sum += 1
+            self.ends.append(self.total + 1)
+        elif not final:
+            raise AssertionError(f"step {step}: terminal move before the end")
+        self.q_count = len(self.ends)
+        self.q_min = self.ends[0] - self.total if self.ends else None
+
+    def system(self) -> SpaceSystem:
+        return SpaceSystem(self.delta, tuple(e - self.total for e in self.ends), self.p)
+
+
 @dataclass(frozen=True)
 class DegenerationResult:
     """A run's answer and its certificate (delta, s, ((move, t0), ...)): the
@@ -79,38 +144,10 @@ class DegenerationResult:
 
     @functools.cached_property
     def steps(self) -> tuple[DegenerationStep, ...]:
-        """The states, rebuilt on first read by one walk over the certificate.
-        A move the state cannot take is an AssertionError naming the step."""
-        delta, s, moves = self.certificate
-        if not moves:
-            raise AssertionError("empty certificate")
-        if delta <= 0 or s < 1:
-            raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")
-        sys, steps = SpaceSystem(delta, (), s), []
-        for i, (move, t) in enumerate(moves):
-            steps.append(DegenerationStep(sys, t, move))
-            if move is LMove.SUBTRACT:
-                if t is None or t <= 0 or sys.delta <= 0:
-                    raise AssertionError(f"step {i}: subtraction of {t} from degree {sys.delta}")
-                qs = tuple(q - t for q in sys.specialized if q > t)
-                sys = SpaceSystem(sys.delta - 2 * t, qs, sys.p)
-            elif move is LMove.SPECIALIZE:
-                if sys.p == 0:
-                    raise AssertionError(f"step {i}: specialization with no general line left")
-                sys = SpaceSystem(sys.delta, sys.specialized + (Fraction(1),), sys.p - 1)
-            elif i < len(moves) - 1:
-                raise AssertionError(f"step {i}: terminal move before the end")
-        return tuple(steps)
-
-
-def _exit_yes(delta: Fraction, p: int, q_max: Fraction | None) -> bool:
-    """The "yes" exit on a system of degree delta with p general lines and
-    greatest specialized multiplicity q_max (None when none is specialized)."""
-    if delta <= 0:
-        return True
-    if delta < 1 and p >= 1:
-        return True
-    return q_max is not None and delta < q_max
+        """The states, built on first read by walking the certificate.  A
+        move the state cannot take is an AssertionError naming the step."""
+        walk = _State.walk(self.certificate)
+        return tuple(DegenerationStep(state.system(), t, move) for _, state, move, t in walk)
 
 
 def certify_lower_bound(
@@ -131,68 +168,43 @@ def certify_lower_bound(
         raise ValueError("tau must be positive")
     if s < 1:
         raise ValueError("s must be positive")
-    # The state (delta; q_1..q_m | 1^p) without its q_j: a line specialized
-    # when the subtractions totalled T_j has q_j = 1 - (total - T_j), and
-    # `ends` holds 1 + T_j, the total at which it reaches zero.  New lines
-    # join last with the greatest end, so the least and greatest q_j sit at
-    # the two ends and a subtraction zeroes a prefix.  Since t0 <= q_min,
-    # subtracting t0 lowers the sum of m lines by exactly m*t0.
-    state = SimpleNamespace(delta=delta, p=s, q_count=0, q_sum=Fraction(0), q_min=None)
-    total, ends = Fraction(0), deque()
+    state = _State(delta, s)
     moves: list[tuple[LMove, Fraction | None]] = []
-    for _ in range(MAX_STEPS):
-        if _exit_yes(state.delta, state.p, ends[-1] - total if ends else None):
+    for i in range(MAX_STEPS):
+        if state.exit_yes():
             moves.append((LMove.TERMINATE_YES, None))
             return DegenerationResult(True, (delta, s, tuple(moves)))
         t0 = quadric_threshold(state, tau, want_trace=False).t0
         if t0 >= tau or (t0 > 0 and t0 == state.q_min):
-            moves.append((LMove.SUBTRACT, t0))
-            state.delta -= 2 * t0
-            state.q_sum -= state.q_count * t0
-            total += t0
-            while ends and ends[0] <= total:
-                ends.popleft()
+            move = LMove.SUBTRACT
         elif state.p > 0:
-            moves.append((LMove.SPECIALIZE, t0))
-            state.p -= 1
-            state.q_sum += 1
-            ends.append(total + 1)
+            move = LMove.SPECIALIZE
         else:
             moves.append((LMove.TERMINATE_NO, t0))
             return DegenerationResult(False, (delta, s, tuple(moves)))
-        state.q_count = len(ends)
-        state.q_min = ends[0] - total if ends else None
+        moves.append((move, t0))
+        state.move(i, move, t0)
     raise IterationLimitError(
         f"degeneration exceeded {MAX_STEPS} iterations for delta={delta}, s={s}"
     )
 
 
 def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[Fraction, int]:
-    """Check the certificate of ``result`` and return the (delta, s) of its
-    start system (delta; | 1^s).
+    """Check the certificate of ``result`` on the loop's own state, building
+    no SpaceSystem, and return the (delta, s) of its start (delta; | 1^s).
 
-    Reading ``result.steps`` walks the certificate and rejects any move its
-    state cannot take.  A subtraction of t from a state is sound when
-    t <= t0, its plane-reduction threshold at tau, because the base locus
-    then holds t copies of the quadric; so t0 is re-derived for every
-    SUBTRACT step.  The loop's rule for taking a subtraction (t0 >= tau, or
-    t0 equal to the least specialized multiplicity) only ensures termination
-    and is not checked.  A "yes" needs the exit condition on the last
-    system, a "no" its absence.  Every rejection is an AssertionError naming
-    the step.
+    A subtraction of t is sound when t <= t0, the state's plane-reduction
+    threshold at tau, since the base locus then holds t copies of the
+    quadric; t0 is re-derived at every SUBTRACT once the move is found legal.
+    The loop's rule for taking a subtraction only ensures termination and is
+    not checked.  A "yes" needs the exit condition on the last state, a "no"
+    its absence.  Every rejection is an AssertionError naming the step.
     """
-    tau = as_rational(tau)
-    steps = result.steps
-    for i, step in enumerate(steps):
-        if step.move is LMove.SUBTRACT:
-            t0 = quadric_threshold(step.system, tau, want_trace=False).t0
-            if step.t0 > t0:
-                raise AssertionError(f"step {i}: subtraction of {step.t0} exceeds the threshold {t0}")
-    last = steps[-1].system
-    yes = _exit_yes(last.delta, last.p, max(last.specialized, default=None))
+    for i, state, move, _ in _State.walk(result.certificate, as_rational(tau)):
+        pass  # the walk checks each move, and each threshold against tau
     want = LMove.TERMINATE_YES if result.answer else LMove.TERMINATE_NO
-    if steps[-1].move is not want or yes != result.answer:
-        raise AssertionError(f"step {len(steps) - 1}: answer {result.answer} contradicts the exit")
+    if move is not want or state.exit_yes() != result.answer:
+        raise AssertionError(f"step {i}: answer {result.answer} contradicts the exit")
     return result.certificate[:2]
 
 

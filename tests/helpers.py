@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 
 from waldlines.bounds import (
@@ -29,7 +30,13 @@ from waldlines.plane import (
     reference_reduction,
     step_to_json,
 )
-from waldlines.space import certify_lower_bound, replay_degeneration
+from waldlines.space import (
+    DegenerationResult,
+    LMove,
+    _State,
+    certify_lower_bound,
+    replay_degeneration,
+)
 from waldlines.space import step_to_json as l_step_to_json
 from waldlines.linform import LinForm, parse_linform
 
@@ -102,6 +109,41 @@ def degeneration_signature(delta: Fraction, s: int, tau: Fraction) -> str:
         {"answer": res.answer, "steps": [l_step_to_json(st) for st in res.steps]},
         sort_keys=True,
     )
+
+
+def explicit_states(certificate) -> Iterator[SpaceSystem]:
+    """The oracle for the degeneration state: the SpaceSystem on arrival at
+    each step of ``certificate``, walked on explicit q_j.  A subtraction of t
+    takes t off every q_j and drops those that reach 0; a specialization
+    appends a q_j of 1."""
+    delta, s, moves = certificate
+    qs, p = (), s
+    for move, t in moves:
+        yield SpaceSystem(delta, qs, p)
+        if move is LMove.SUBTRACT:
+            delta, qs = delta - 2 * t, tuple(q - t for q in qs if q > t)
+        elif move is LMove.SPECIALIZE:
+            qs, p = qs + (Fraction(1),), p - 1
+
+
+def explicit_exit(sys: SpaceSystem) -> bool:
+    """The "yes" exit on an explicit state: its degree is at most 0, below 1
+    with a general line left, or below some q_j."""
+    return sys.delta <= 0 or (sys.delta < 1 and sys.p >= 1) or any(sys.delta < q for q in sys.specialized)
+
+
+def check_walk_against_explicit_states(res: DegenerationResult) -> None:
+    """Assert that the shared walk of ``res.certificate`` agrees with
+    :func:`explicit_states` at every step: the materialized system, the
+    aggregates the plane reduction reads and the exit test."""
+    walk = zip(_State.walk(res.certificate), explicit_states(res.certificate))
+    for n, ((i, state, _, _), want) in enumerate(walk, start=1):
+        assert state.system() == want, i
+        got = (state.delta, state.p, state.q_count, state.q_sum, state.q_min)
+        assert got == (want.delta, want.p, want.q_count, want.q_sum, want.q_min), i
+        assert state.exit_yes() is explicit_exit(want), i
+    assert n == len(res.certificate[2])
+    assert explicit_exit(want) is res.answer
 
 
 def _reference_bisect(

@@ -84,6 +84,7 @@ GOLDEN_DEGENERATION = [
     ("(2; 5042/5045 | 1^4)", "5042/5045", LMove.SUBTRACT),
     ("(6/5045; | 1^4)", None, LMove.TERMINATE_YES),
 ]
+GOLDEN_MOVES = tuple((move, None if t0 is None else F(t0)) for _, t0, move in GOLDEN_DEGENERATION)
 
 
 # sha256 over the JSON traces (helpers.degeneration_signature) of these
@@ -93,6 +94,14 @@ GOLDEN_DIGEST_CASES = [(F(math.isqrt(5 * s // 2)), s) for s in range(11, 21)] + 
     (value + d, s) for s, value in PINNED_BEST.items() for d in (-TAU, TAU)
 ]
 GOLDEN_DIGEST = "95e3f8059b541a6d0b39952137869825f6f1c42ef0b1d49bc70108cc8d92da53"
+
+# The start systems of the benchmark's certify workload
+# (perfbench/workloads.py, Certify), copied.
+CERTIFY_CASES = [(F(math.isqrt(5 * s // 2)), s) for s in range(11, 61)] + [
+    (F("11.569"), 50),
+    (F("11.570"), 50),
+    (F("16.636"), 100),
+]
 
 
 SPEC, SUB = LMove.SPECIALIZE, LMove.SUBTRACT
@@ -115,6 +124,16 @@ FORGED = {
                       "step 0: subtraction of None from degree 2"),
     "subtract-nonpositive": (True, (F(2), 1, ((SUB, F(0)), (YES, None))),
                              "step 0: subtraction of 0 from degree 2"),
+    "yes-without-exit": (True, (F(4), 8, ((SPEC, F(0)), (YES, None))),
+                         "step 1: answer True contradicts the exit"),
+    "no-at-exit": (False, (F(1, 2), 1, ((NO, F(0)),)), "step 0: answer False contradicts the exit"),
+    "truncated": (True, (F(4), 8, ((SPEC, F(0)),)), "step 0: answer True contradicts the exit"),
+}
+# name -> (answer, certificate) with a float where a rational belongs, which
+# replay_degeneration and .steps must refuse with a TypeError
+FLOATED = {
+    "float-delta": (True, (4.0, 8, GOLDEN_MOVES)),
+    "float-last-subtraction": (True, (F(4), 8, GOLDEN_MOVES[:-2] + ((SUB, 0.99), (YES, None)))),
 }
 
 
@@ -130,6 +149,7 @@ class TestDegeneration:
 
     def test_golden_replay(self):
         res = certify_lower_bound(F(4), 8, TAU)
+        assert res.certificate == (F(4), 8, GOLDEN_MOVES)
         assert replay_degeneration(res, TAU) == (F(4), 8)
         assert {res} == {certify_lower_bound(F(4), 8, TAU)}  # equal by value, hash included
 
@@ -138,6 +158,30 @@ class TestDegeneration:
         answer, certificate, message = FORGED[name]
         with pytest.raises(AssertionError, match=message):
             replay_degeneration(DegenerationResult(answer, certificate), TAU)
+
+    @pytest.mark.parametrize("name", sorted(FLOATED))
+    def test_replay_rejects_floats(self, name):
+        # as the SpaceSystem constructor does; 0.99 would pass the threshold
+        # check, since it is below 5042/5045
+        result = DegenerationResult(*FLOATED[name])
+        with pytest.raises(TypeError, match="cannot interpret float as a rational"):
+            replay_degeneration(result, TAU)
+        with pytest.raises(TypeError, match="cannot interpret float as a rational"):
+            result.steps
+
+    def test_steps_reject_subtraction_at_degree_zero(self):
+        # the replay's threshold check fires first on such a certificate,
+        # so only .steps reaches the degree check
+        res = DegenerationResult(True, (F(2), 1, ((SUB, F(1)), (SUB, F(1)), (YES, None))))
+        with pytest.raises(AssertionError, match="step 1: subtraction of 1 from degree 0"):
+            res.steps
+
+    @pytest.mark.parametrize("cases", ["digest", "certify"])
+    def test_walk_matches_explicit_states(self, cases):
+        # the loop, the replay and .steps share one state update; check it
+        # against the oracle's explicit q_j, aggregates and exit included
+        for delta, s in GOLDEN_DIGEST_CASES if cases == "digest" else CERTIFY_CASES:
+            helpers.check_walk_against_explicit_states(certify_lower_bound(delta, s, TAU))
 
     def test_thresholds_match_reference_reduction(self):
         # the replay re-derives t0 with the integer kernel; sample the
@@ -173,6 +217,19 @@ class TestDegeneration:
         res = certify_lower_bound(PINNED_BEST[50], 50, TAU)
         assert res.answer is True
         assert built == []
+        # nor does checking it, which asks the kernel once per subtraction,
+        # through the module binding the benchmark's tracer rebinds
+        kernel_calls = []
+        kernel = space.quadric_threshold
+
+        def counted_kernel(inp, tau, **kwargs):
+            kernel_calls.append(inp)
+            return kernel(inp, tau, **kwargs)
+
+        monkeypatch.setattr(space, "quadric_threshold", counted_kernel)
+        assert replay_degeneration(res, TAU) == (PINNED_BEST[50], 50)
+        assert built == []
+        assert len(kernel_calls) == sum(move is SUB for move, _ in res.certificate[2]) > 1
         assert len(res.steps) == len(built) > 1
 
     def test_sub_tau_subtraction_removes_lines(self):
@@ -206,8 +263,8 @@ class TestDegeneration:
 
     @pytest.mark.parametrize("s", range(1, 31))
     def test_specialized_never_decreases(self, s):
-        # the loop reads the least and greatest specialized multiplicity off
-        # the ends of the tuple
+        # the state keeps its lines in specialization order and reads the
+        # least and greatest q_j off the two ends, so the q_j must ascend
         for delta in (F(3, 2), F(math.isqrt(5 * s // 2)), upper_index(s, F(1, 10)) * F(1, 10)):
             for step in certify_lower_bound(delta, s, TAU).steps:
                 qs = step.system.specialized
