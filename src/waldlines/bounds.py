@@ -16,8 +16,8 @@ by (alpha + 2)(alpha + 1) <= 6s, and the Chudnovsky-type inequality
 alphahat >= (alpha + 1)/2 follows from the bounds above; chudnovsky_verify
 checks the whole inequality chain exactly.  The strong bound
 floor(sqrt(2.5 s)) holds for every s except 4, 7 and 10: by the known exact
-values for s <= 5, by an exact integer check for s >= 490 and by running the
-degeneration loop in between.
+values for s <= 5, by an exact integer check for s >= 490 (proved to pass for
+every s >= 685) and by running the degeneration loop in between.
 
 Everything here is exact integer/rational arithmetic; the only approximate
 quantity anywhere is the rendered decimal of a cubic root.
@@ -156,7 +156,33 @@ class StrongBoundStatus:
 
 def strong_bound_closed_form_ok(s: int) -> bool:
     """Exact check of the plane-degeneration conditions at q = floor(sqrt(2.5s)),
-    k = floor(sqrt(0.4s))."""
+    k = floor(sqrt(0.4s)).
+
+    Both conditions hold for every s >= N0 = 685, so on the closed-form
+    range s >= 490 only 490..684 rest on this check (the tests run it on
+    each of them).  The proof:
+
+      * q*k <= s for every s, since q <= sqrt(2.5s) and k <= sqrt(0.4s).
+      * (q - k)^2 <= s - k.  Here 0 <= k <= q <= sqrt(2.5s), k <= sqrt(0.4s),
+        and k > sqrt(floor(2s/5)) - 1 >= sqrt(0.4s - 0.8) - 1, as
+        floor(2s/5) >= 0.4s - 0.8.  So (q - k)^2 < (sqrt(2.5s) -
+        sqrt(0.4s - 0.8) + 1)^2 and s - k >= s - sqrt(0.4s): the condition
+        holds wherever
+
+            h(s) = s - sqrt(0.4s) - (sqrt(2.5s) - sqrt(0.4s - 0.8) + 1)^2 >= 0.
+
+        With u = sqrt(s), e = sqrt(0.4)u - sqrt(0.4u^2 - 0.8)
+        = 0.8/(sqrt(0.4)u + sqrt(0.4u^2 - 0.8)) and
+        sqrt(2.5) - sqrt(0.4) = sqrt(0.9),
+
+            h = 0.1u^2 - (sqrt(0.4) + 2 sqrt(0.9))u - 2 sqrt(0.9) u*e - (1 + e)^2.
+
+        Both e and u*e fall as u grows, and the first two terms rise for
+        u >= 5(sqrt(0.4) + 2 sqrt(0.9)) ~ 12.65, i.e. s >= 161, so h
+        increases on s >= 161.  Exact rational bounds on its square roots
+        give h(685) > 0 > h(684) (h is about 0.038 and -0.013 there), so
+        h(s) >= 0, and the condition holds, for every s >= 685.
+    """
     q = math.isqrt(5 * s // 2)
     k = math.isqrt(2 * s // 5)
     return q * k <= s and (q - k) ** 2 <= s - k

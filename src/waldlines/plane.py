@@ -247,12 +247,16 @@ def _terminal_t0(a: int | Fraction, b: int | Fraction, q_min: Fraction | None) -
     return root if q_min is None else min(root, q_min)
 
 
-def _scaled_groups(inp: SystemAggregates) -> tuple[int, int, int, list[list[int]]]:
+def _scaled_groups(
+    inp: SystemAggregates, tn: int, td: int
+) -> tuple[int, int, int, list[tuple[int, int, int]]]:
     """Integer form of the associated system, scaled by the lcm D of the
-    denominators of delta and of q = sum(q_j): returns (D, deg_a, deg_b,
-    groups) with groups entries [a, b, count].  The system depends on the
-    q_j only through q, and scaling it uniformly changes no comparison and no
-    root, so the reduction may run entirely in integer arithmetic.
+    denominators of delta and of q = sum(q_j), each form a + b*t held as
+    its value v = a*td + b*tn at tau = tn/td and its constant a: returns
+    (D, deg_v, deg_a, groups) with groups entries (v, a, count).  The system
+    depends on the q_j only through q, and scaling it uniformly changes no
+    comparison and no root, so the reduction may run entirely in integer
+    arithmetic.
     """
     q_sum = inp.q_sum
     D = math.lcm(inp.delta.denominator, q_sum.denominator)
@@ -260,19 +264,21 @@ def _scaled_groups(inp: SystemAggregates) -> tuple[int, int, int, list[list[int]
     q = q_sum.numerator * (D // q_sum.denominator)
     s = inp.q_count
     deg_a, deg_b = 2 * delta - q, D * (s - 4)
-    groups = [[delta, -2 * D, 1], [delta - q, D * (s - 2), 1]]
+    forms = [(delta, -2 * D, 1), (delta - q, D * (s - 2), 1)]
     if inp.p > 0:
-        groups.append([D, 0, 2 * inp.p])
-    return D, deg_a, deg_b, groups
+        forms.append((D, 0, 2 * inp.p))
+    return D, deg_a * td + deg_b * tn, deg_a, [(a * td + b * tn, a, n) for a, b, n in forms]
 
 
-def _unscale(D: int, deg_a: int, deg_b: int, groups: list[list[int]]) -> PlaneSystem:
-    """The PlaneSystem of the kernel's ascending [v, a, b, count] list."""
-    degree = LinForm(Fraction(deg_a, D), Fraction(deg_b, D))
-    return PlaneSystem(
-        degree,
-        tuple((LinForm(Fraction(a, D), Fraction(b, D)), n) for _, a, b, n in reversed(groups)),
-    )
+def _unscale(
+    D: int, tn: int, td: int, deg_v: int, deg_a: int, groups: list[list[int]]
+) -> PlaneSystem:
+    """The PlaneSystem of the kernel's degree (deg_v, deg_a) and ascending
+    [v, a, count] list, each form's b recovered from v = a*td + b*tn."""
+    def form(v: int, a: int) -> LinForm:
+        return LinForm(Fraction(a, D), Fraction((v - a * td) // tn, D))
+
+    return PlaneSystem(form(deg_v, deg_a), tuple((form(v, a), n) for v, a, n in reversed(groups)))
 
 
 def quadric_threshold(
@@ -301,104 +307,128 @@ def quadric_threshold(
     :func:`reference_reduction`.
 
     Internally the loop runs on the integer system scaled by
-    lcm(den(delta), den(sum q_j)); evaluation at tau = tn/td becomes the
-    integer v = a*td + b*tn, computed once per group.  The groups stay in
-    normalized order: a move changes at most three of them, and those are
-    re-inserted by bisection (joining an equal neighbour, dropping v <= 0)
-    instead of re-sorting the whole list.  Recorded trace steps are scaled
-    back to the systems the Fraction operations produce.
+    D = lcm(den(delta), den(sum q_j)).  A form a + b*t is held as its value
+    v = a*td + b*tn at tau = tn/td and its constant a: these determine
+    b = (v - a*td)/tn, and ordering by (v, a) is normalize's order by
+    (value, a, b).  The groups stay in normalized order: a move changes at
+    most three of them, and the forms it makes are inserted by bisection
+    when the next step begins (joining an equal form, dropping v <= 0)
+    instead of re-sorting the whole list.  The three leading units are read
+    by position from the last one, two or three groups, and the degree is
+    held as (deg_v, deg_a), so k(tau) is deg_v minus the values of those
+    units, with no multiplication by tau; the constant ka of k is formed
+    only when a Cremona move is taken or a step is traced.  A traced step,
+    its k included, is rebuilt from these integers (b recovered, then scaled
+    back by D) as the system the Fraction operations produce.
     """
     tau = as_rational(tau)
-    if tau <= 0:
+    if tau.numerator <= 0:  # a Fraction has its numerator's sign
         raise ValueError("tau must be positive")
-    if inp.delta <= 0:
+    if inp.delta.numerator <= 0:
         raise ValueError("the plane reduction needs a positive degree")
     tn, td = tau.numerator, tau.denominator
-    D, deg_a, deg_b, initial = _scaled_groups(inp)
-    # [v, a, b, count] ascending by (v, a, b), one entry per distinct form:
-    # normalize's order reversed, so the greatest multiplicities are popped
-    # from the end
+    D, deg_v, deg_a, pending = _scaled_groups(inp, tn, td)
+    # [v, a, count] ascending by (v, a), one entry per distinct form:
+    # normalize's order reversed, so the leading multiplicities sit at the
+    # end; total counts the units kept
     groups: list[list[int]] = []
-
-    def insert(v: int, a: int, b: int, n: int) -> int:
-        """Add n copies of a + b*t (value v at tau); returns how many are kept."""
-        if v <= 0:
-            return 0
-        i = bisect_left(groups, [v, a, b])
-        if i < len(groups) and groups[i][1] == a and groups[i][2] == b:
-            groups[i][3] += n
-        else:
-            groups.insert(i, [v, a, b, n])
-        return n
-
-    total = sum(insert(a * td + b * tn, a, b, n) for a, b, n in initial)
+    total = 0
+    # pending: (v, a, count) of the forms a move made (at first, of the
+    # associated system), inserted when the next step begins
     steps: list[ReductionStep] = []
     for _ in range(MAX_STEPS):
-        ka = kb = None
+        for v, a, n in pending:
+            if v > 0:
+                i = bisect_left(groups, [v, a])
+                if i < len(groups) and (g := groups[i])[0] == v and g[1] == a:
+                    g[2] += n
+                else:
+                    groups.insert(i, [v, a, n])
+                total += n
+        # lead: how many groups, from the end, hold the three leading units
+        lead = 0
         if total >= 3:
-            ka, kb, need = deg_a, deg_b, 3
-            for _, a, b, n in reversed(groups):
-                if n >= need:
-                    ka -= need * a
-                    kb -= need * b
-                    break
-                ka -= n * a
-                kb -= n * b
-                need -= n
-            kv = ka * td + kb * tn
+            g1 = groups[-1]
+            n1 = g1[2]
+            if n1 >= 3:
+                lead, kv = 1, deg_v - 3 * g1[0]
+            else:
+                g2 = groups[-2]
+                if n1 + g2[2] >= 3:
+                    lead, kv = 2, deg_v - n1 * g1[0] - (3 - n1) * g2[0]
+                else:
+                    g3 = groups[-3]
+                    lead, kv = 3, deg_v - g1[0] - g2[0] - g3[0]
         # Plain locals pick the move: an enum lookup per step would be
         # measurable on the untraced path.
-        cremona = ka is not None and kv < 0
+        cremona = lead and kv < 0
         merge_at = -1
         if not cremona:
             for i in range(len(groups) - 1, -1, -1):
-                if groups[i][3] >= 4:
+                if groups[i][2] >= 4:
                     merge_at = i
                     break
+        if cremona or (want_trace and lead):
+            if lead == 1:
+                ka = deg_a - 3 * g1[1]
+            elif lead == 2:
+                ka = deg_a - n1 * g1[1] - (3 - n1) * g2[1]
+            else:
+                ka = deg_a - g1[1] - g2[1] - g3[1]
         if want_trace:
             steps.append(
                 ReductionStep(
-                    _unscale(D, deg_a, deg_b, groups),
-                    None if ka is None else LinForm(Fraction(ka, D), Fraction(kb, D)),
+                    _unscale(D, tn, td, deg_v, deg_a, groups),
+                    LinForm(Fraction(ka, D), Fraction((kv - ka * td) // tn, D)) if lead else None,
                     Move.CREMONA if cremona
                     else Move.MERGE if merge_at >= 0
                     else Move.TERMINATE,
                 )
             )
         if cremona:
+            deg_v += kv
             deg_a += ka
-            deg_b += kb
-            # take the three leading units off first: a moved form may
-            # overtake one that is still waiting to move
-            moved = []
-            need = 3
-            while need:
-                g = groups[-1]
-                if g[3] > need:
-                    g[3] -= need
-                    moved.append((g[0] + kv, g[1] + ka, g[2] + kb, need))
-                    break
+            # take the three leading units off before inserting any: a moved
+            # form may overtake one that is still waiting to move
+            if lead == 1:
+                pending = ((g1[0] + kv, g1[1] + ka, 3),)
+                if n1 > 3:
+                    g1[2] = n1 - 3
+                else:
+                    groups.pop()
+            elif lead == 2:
+                n2 = 3 - n1
+                pending = ((g1[0] + kv, g1[1] + ka, n1), (g2[0] + kv, g2[1] + ka, n2))
                 groups.pop()
-                moved.append((g[0] + kv, g[1] + ka, g[2] + kb, g[3]))
-                need -= g[3]
+                if g2[2] > n2:
+                    g2[2] -= n2
+                else:
+                    groups.pop()
+            else:
+                pending = ((g1[0] + kv, g1[1] + ka, 1), (g2[0] + kv, g2[1] + ka, 1),
+                           (g3[0] + kv, g3[1] + ka, 1))
+                if g3[2] > 1:
+                    g3[2] -= 1
+                    del groups[-2:]
+                else:
+                    del groups[-3:]
             total -= 3
-            for v, a, b, n in moved:
-                total += insert(v, a, b, n)
         elif merge_at >= 0:
             g = groups[merge_at]
-            if g[3] > 4:
-                g[3] -= 4
+            if g[2] > 4:
+                g[2] -= 4
             else:
                 del groups[merge_at]
-            total -= 3
-            insert(2 * g[0], 2 * g[1], 2 * g[2], 1)
+            total -= 4
+            pending = ((2 * g[0], 2 * g[1], 1),)
         else:
             break
     else:
         raise IterationLimitError(
-            f"plane reduction exceeded {MAX_STEPS} steps for input {inp}"
+            f"plane reduction exceeded {MAX_STEPS} steps for delta={inp.delta}, p={inp.p}, "
+            f"q_count={inp.q_count}, q_sum={inp.q_sum}, q_min={inp.q_min} at tau={tau}"
         )
-    return ThresholdResult(_terminal_t0(deg_a, deg_b, inp.q_min), tuple(steps))
+    return ThresholdResult(_terminal_t0(deg_a, (deg_v - deg_a * td) // tn, inp.q_min), tuple(steps))
 
 
 def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdResult:

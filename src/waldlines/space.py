@@ -104,7 +104,9 @@ class _State:
     def move(self, step: int, move: LMove, t: Fraction | None, final: bool = False,
              tau: Fraction | None = None) -> None:
         """Take step ``step`` (``final``: the last) or raise an AssertionError naming
-        it; given ``tau``, a subtraction must also stay within t0 at tau."""
+        it; given ``tau``, a subtraction must also stay within t0 at tau.  A
+        "yes" records None and every other move a rational, which as_rational
+        reads, so a float there is a TypeError."""
         if move is LMove.SUBTRACT:
             t = None if t is None else as_rational(t)
             if t is None or t.numerator <= 0 or self.delta.numerator <= 0:  # a Fraction's sign
@@ -119,6 +121,7 @@ class _State:
             while self.ends and self.ends[0] <= self.total:
                 self.ends.popleft()
         elif move is LMove.SPECIALIZE:
+            as_rational(t)  # the threshold the loop declined, exact like any recorded value
             if self.p == 0:
                 raise AssertionError(f"step {step}: specialization with no general line left")
             self.p -= 1
@@ -126,6 +129,11 @@ class _State:
             self.ends.append(self.total + 1)
         elif not final:
             raise AssertionError(f"step {step}: terminal move before the end")
+        elif move is LMove.TERMINATE_YES:
+            if t is not None:
+                raise AssertionError(f"step {step}: a yes records {t!r}, not None")
+        else:
+            as_rational(t)
         self.q_count = len(self.ends)
         self.q_min = self.ends[0] - self.total if self.ends else None
 

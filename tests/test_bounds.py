@@ -27,6 +27,11 @@ SQUARE_ROW = (4, 6, 10, 14, 20, 24, 28, 31)
 DEGENERATION_ROW = (4, 6, 10, 15, 22, 27, 31, 35)
 
 
+# From the strong_bound_closed_form_ok docstring: its conditions are proved
+# for every s from here on.
+CLOSED_FORM_N0 = 685
+
+
 def brute_square_bound(s: int) -> int:
     best = 1
     for k in range(1, math.isqrt(s) + 1):
@@ -163,6 +168,29 @@ class TestStrongBound:
         assert strong_bound_closed_form_ok(1000)
         status = strong_sqrt_check(490, TAU)
         assert status.holds and status.method == "closed-form"
+
+    def test_closed_form_below_the_proved_range(self):
+        # the docstring proves the conditions for every s >= 685; the rest of
+        # the closed-form range, checked exhaustively
+        assert all(strong_bound_closed_form_ok(s) for s in range(490, CLOSED_FORM_N0))
+
+    def test_closed_form_proof_threshold(self):
+        # the docstring's h(s) = s - sqrt(0.4s) - (sqrt(2.5s) - sqrt(0.4s - 0.8) + 1)^2
+        # changes sign between 684 and 685, bounded with rational square roots
+        scale = 10**12
+
+        def root(x: F) -> tuple[F, F]:
+            r = math.isqrt(math.floor(x * scale * scale))
+            return F(r, scale), F(r + 1, scale)
+
+        def h_bounds(s: int) -> tuple[F, F]:
+            a_lo, a_hi = root(F(2, 5) * s)
+            b_lo, b_hi = root(F(5, 2) * s)
+            c_lo, c_hi = root(F(2, 5) * s - F(4, 5))
+            return s - a_hi - (b_hi - c_lo + 1) ** 2, s - a_lo - (b_lo - c_hi + 1) ** 2
+
+        assert h_bounds(CLOSED_FORM_N0)[0] > 0
+        assert h_bounds(CLOSED_FORM_N0 - 1)[1] < 0
 
     def test_degeneration_route(self):
         status = strong_sqrt_check(40, TAU)

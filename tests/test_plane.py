@@ -1,12 +1,16 @@
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import helpers
+from waldlines import plane
 from waldlines.linform import LinForm, parse_linform
 from waldlines.plane import (
+    IterationLimitError,
     Move,
     PlaneSystem,
     SpaceSystem,
@@ -19,6 +23,7 @@ from waldlines.plane import (
     quadric_threshold,
     reference_reduction,
 )
+from waldlines.space import certify_lower_bound
 
 TAU = F(1, 1000)
 
@@ -221,6 +226,37 @@ class TestKernelOracle:
         # a fifth of the inputs scale by less than the lcm of all their
         # denominators
         assert coarser > 300
+
+    def test_matches_fraction_reference_on_deep_states(self):
+        # random inputs stay small; the degeneration loop's own states reach
+        # p > 40, hundreds of units of 1 and denominators of hundreds of bits
+        states = []
+        for delta, s in ((F("11.569"), 50), (F("16.636"), 100)):
+            steps = [st.system for st in certify_lower_bound(delta, s, TAU).steps if st.t0 is not None]
+            states += random.Random(s).sample(steps, 150)
+        shapes = Counter()
+        for i, state in enumerate(states):
+            want = reference_reduction(state, TAU)
+            assert quadric_threshold(state, TAU, want_trace=False).t0 == want.t0, i
+            for step in want.steps:
+                if step.k is not None:
+                    # how many groups the three leading units span
+                    n = [count for _, count in step.system.groups[:2]]
+                    shapes[1 if n[0] >= 3 else 2 if n[0] + n[1] >= 3 else 3] += 1
+        assert max(state.p for state in states) > 40
+        assert max(state.delta.denominator.bit_length() for state in states) > 300
+        assert set(shapes) == {1, 2, 3}
+
+
+class TestIterationLimit:
+    def test_message_names_the_aggregates(self, monkeypatch):
+        # the loop hands the kernel its own state, whose repr is no help
+        monkeypatch.setattr(plane, "MAX_STEPS", 2)
+        want = "plane reduction exceeded 2 steps for delta=4, p=8, q_count=0, q_sum=0, q_min=None at tau=1/1000"
+        with pytest.raises(IterationLimitError, match=f"^{re.escape(want)}$"):
+            certify_lower_bound(F(4), 8, TAU)
+        with pytest.raises(IterationLimitError, match="for delta=7, p=15, q_count=5, q_sum=5, q_min=1 at"):
+            quadric_threshold(GOLDEN_INPUT, TAU)
 
 
 class TestFormatParse:

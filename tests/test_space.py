@@ -128,12 +128,17 @@ FORGED = {
                          "step 1: answer True contradicts the exit"),
     "no-at-exit": (False, (F(1, 2), 1, ((NO, F(0)),)), "step 0: answer False contradicts the exit"),
     "truncated": (True, (F(4), 8, ((SPEC, F(0)),)), "step 0: answer True contradicts the exit"),
+    # (1/2; | 1) exits "yes" at once, but a "yes" records no threshold
+    "yes-with-value": (True, (F(1, 2), 1, ((YES, 0.25),)), "step 0: a yes records 0.25, not None"),
 }
 # name -> (answer, certificate) with a float where a rational belongs, which
 # replay_degeneration and .steps must refuse with a TypeError
 FLOATED = {
     "float-delta": (True, (4.0, 8, GOLDEN_MOVES)),
     "float-last-subtraction": (True, (F(4), 8, GOLDEN_MOVES[:-2] + ((SUB, 0.99), (YES, None)))),
+    "float-specialization": (True, (F(4), 8, ((SPEC, 0.0),) + GOLDEN_MOVES[1:])),
+    # (2; | 1) certifies nothing: it specializes its line, then ends "no"
+    "float-terminal-no": (False, (F(2), 1, ((SPEC, F(0)), (NO, 0.0)))),
 }
 
 
@@ -168,6 +173,15 @@ class TestDegeneration:
             replay_degeneration(result, TAU)
         with pytest.raises(TypeError, match="cannot interpret float as a rational"):
             result.steps
+
+    def test_replay_rejects_a_non_rational_specialization_value(self):
+        # the golden (4; 1^8) certificate with a string where its first
+        # threshold belongs
+        junk = DegenerationResult(True, (F(4), 8, ((SPEC, "junk"),) + GOLDEN_MOVES[1:]))
+        with pytest.raises(ValueError, match="not a rational literal: 'junk'"):
+            replay_degeneration(junk, TAU)
+        with pytest.raises(ValueError, match="not a rational literal: 'junk'"):
+            junk.steps
 
     def test_steps_reject_subtraction_at_degree_zero(self):
         # the replay's threshold check fires first on such a certificate,
