@@ -2,7 +2,7 @@
 
     waldlines bound 10                     all bounds for s = 10
     waldlines bound 10 --no-l              skip the search bound
-    waldlines trace-t "7;1,1,1,1,1;15"     plane-reduction trace
+    waldlines trace-t "7;1,1,1,1,1;15"     plane-reduction trace (reference)
     waldlines trace-l "4;8"                degeneration trace
     waldlines table 10,20,50 --format csv  bound table for several s
     waldlines verify chudnovsky --max-s 1000
@@ -14,7 +14,9 @@
 --precision (invariants), --max-s and --range.  Rationals on the command line
 are positive and written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
 `trace-t` reads the space system (delta; q1..qs | 1^p) as "delta;q1,...,qs;p"
-and `trace-l` the start system (delta; 1^s) as "delta;s".
+and `trace-l` the start system (delta; 1^s) as "delta;s".  `trace-t` prints
+the steps of the Fraction reference reduction and the t0 of the integer
+kernel, after checking that the two thresholds agree (exit 1 if not).
 Reports are cached under (s, tau, grid, precision, source fingerprint).  Exit
 status is 0 when every requested check passed, 1 on violations, 2 on usage
 errors.
@@ -151,7 +153,15 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_trace_t(args: argparse.Namespace) -> int:
     tau = _tau(args)
     inp = parse_t_input(args.input)
-    res = plane.quadric_threshold(inp, tau)
+    t0 = plane.quadric_threshold(inp, tau).t0
+    res = plane.reference_reduction(inp, tau)
+    if t0 != res.t0:
+        print(
+            f"error: the plane kernel's threshold {t0} differs from the"
+            f" reference reduction's {res.t0}",
+            file=sys.stderr,
+        )
+        return 1
     if args.json:
         payload = {
             "input": {
@@ -161,7 +171,7 @@ def cmd_trace_t(args: argparse.Namespace) -> int:
             },
             "tau": str(tau),
             "steps": [plane.step_to_json(st) for st in res.steps],
-            "t0": str(res.t0),
+            "t0": str(t0),
         }
         print(json.dumps(payload, indent=1))
         return 0
@@ -170,7 +180,7 @@ def cmd_trace_t(args: argparse.Namespace) -> int:
         if st.k is not None:
             line += f"  k={st.k}"
         print(line)
-    print(f"t0 = {res.t0}")
+    print(f"t0 = {t0}")
     return 0
 
 

@@ -21,6 +21,12 @@ aggregates, their count, sum and least value (SystemAggregates): a
 SpaceSystem computes them from its multiplicities, and the degeneration loop
 in space.py keeps them up to date in O(1) per step.
 
+The reduction has two implementations.  quadric_threshold, the one every
+caller of t0 uses, runs on integers and returns t0 with the numbers of
+Cremona moves and merges it took.  reference_reduction runs the same moves
+on the Fraction systems below and records every state: it is the kernel's
+oracle in the tests and the trace that ``trace-t`` prints.
+
 Multiplicity lists are kept run-length encoded: systems routinely carry
 hundreds of repeated entries (1^2p blocks), and every move touches at most a
 handful of distinct values.
@@ -31,6 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol
@@ -141,8 +148,13 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """The threshold and the numbers of Cremona moves and merges taken;
+    ``steps``, every recorded state, is filled by reference_reduction only."""
+
     t0: Fraction
-    steps: tuple[ReductionStep, ...]
+    cremona: int
+    merge: int
+    steps: tuple[ReductionStep, ...] = ()
 
 
 def associate_system(inp: SystemAggregates) -> PlaneSystem:
@@ -249,11 +261,11 @@ def _terminal_t0(a: int | Fraction, b: int | Fraction, q_min: Fraction | None) -
 
 def _scaled_groups(
     inp: SystemAggregates, tn: int, td: int
-) -> tuple[int, int, int, list[tuple[int, int, int]]]:
+) -> tuple[int, int, list[tuple[int, int, int]]]:
     """Integer form of the associated system, scaled by the lcm D of the
     denominators of delta and of q = sum(q_j), each form a + b*t held as
     its value v = a*td + b*tn at tau = tn/td and its constant a: returns
-    (D, deg_v, deg_a, groups) with groups entries (v, a, count).  The system
+    (deg_v, deg_a, groups) with groups entries (v, a, count).  The system
     depends on the q_j only through q, and scaling it uniformly changes no
     comparison and no root, so the reduction may run entirely in integer
     arithmetic.
@@ -267,26 +279,10 @@ def _scaled_groups(
     forms = [(delta, -2 * D, 1), (delta - q, D * (s - 2), 1)]
     if inp.p > 0:
         forms.append((D, 0, 2 * inp.p))
-    return D, deg_a * td + deg_b * tn, deg_a, [(a * td + b * tn, a, n) for a, b, n in forms]
+    return deg_a * td + deg_b * tn, deg_a, [(a * td + b * tn, a, n) for a, b, n in forms]
 
 
-def _unscale(
-    D: int, tn: int, td: int, deg_v: int, deg_a: int, groups: list[list[int]]
-) -> PlaneSystem:
-    """The PlaneSystem of the kernel's degree (deg_v, deg_a) and ascending
-    [v, a, count] list, each form's b recovered from v = a*td + b*tn."""
-    def form(v: int, a: int) -> LinForm:
-        return LinForm(Fraction(a, D), Fraction((v - a * td) // tn, D))
-
-    return PlaneSystem(form(deg_v, deg_a), tuple((form(v, a), n) for v, a, n in reversed(groups)))
-
-
-def quadric_threshold(
-    inp: SystemAggregates,
-    tau: RationalLike,
-    *,
-    want_trace: bool = True,
-) -> ThresholdResult:
+def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResult:
     """Reduce the plane system associated with ``inp``, whose degree must be
     positive, and return the threshold t0.  Of ``inp`` only delta, p,
     q_count, q_sum and q_min are read: a SpaceSystem computes them from its
@@ -302,9 +298,9 @@ def quadric_threshold(
         min(-a/b, q_min)       otherwise,
 
     where q_min is the least q_j; with no specialized lines it drops out
-    (and the middle case returns 0).  ``want_trace=False`` skips step
-    recording on hot paths.  The result equals that of
-    :func:`reference_reduction`.
+    (and the middle case returns 0).  The result carries t0 and the
+    numbers of Cremona moves and merges, which equal those of
+    :func:`reference_reduction`; it records no steps.
 
     Internally the loop runs on the integer system scaled by
     D = lcm(den(delta), den(sum q_j)).  A form a + b*t is held as its value
@@ -317,9 +313,7 @@ def quadric_threshold(
     by position from the last one, two or three groups, and the degree is
     held as (deg_v, deg_a), so k(tau) is deg_v minus the values of those
     units, with no multiplication by tau; the constant ka of k is formed
-    only when a Cremona move is taken or a step is traced.  A traced step,
-    its k included, is rebuilt from these integers (b recovered, then scaled
-    back by D) as the system the Fraction operations produce.
+    only when a Cremona move is taken.
     """
     tau = as_rational(tau)
     if tau.numerator <= 0:  # a Fraction has its numerator's sign
@@ -327,7 +321,7 @@ def quadric_threshold(
     if inp.delta.numerator <= 0:
         raise ValueError("the plane reduction needs a positive degree")
     tn, td = tau.numerator, tau.denominator
-    D, deg_v, deg_a, pending = _scaled_groups(inp, tn, td)
+    deg_v, deg_a, pending = _scaled_groups(inp, tn, td)
     # [v, a, count] ascending by (v, a), one entry per distinct form:
     # normalize's order reversed, so the leading multiplicities sit at the
     # end; total counts the units kept
@@ -335,7 +329,7 @@ def quadric_threshold(
     total = 0
     # pending: (v, a, count) of the forms a move made (at first, of the
     # associated system), inserted when the next step begins
-    steps: list[ReductionStep] = []
+    cremonas = merges = 0
     for _ in range(MAX_STEPS):
         for v, a, n in pending:
             if v > 0:
@@ -359,38 +353,12 @@ def quadric_threshold(
                 else:
                     g3 = groups[-3]
                     lead, kv = 3, deg_v - g1[0] - g2[0] - g3[0]
-        # Plain locals pick the move: an enum lookup per step would be
-        # measurable on the untraced path.
-        cremona = lead and kv < 0
-        merge_at = -1
-        if not cremona:
-            for i in range(len(groups) - 1, -1, -1):
-                if groups[i][2] >= 4:
-                    merge_at = i
-                    break
-        if cremona or (want_trace and lead):
+        if lead and kv < 0:
+            # the constant ka of k is needed only here; take the three leading
+            # units off before inserting any: a moved form may overtake one
+            # that is still waiting to move
             if lead == 1:
                 ka = deg_a - 3 * g1[1]
-            elif lead == 2:
-                ka = deg_a - n1 * g1[1] - (3 - n1) * g2[1]
-            else:
-                ka = deg_a - g1[1] - g2[1] - g3[1]
-        if want_trace:
-            steps.append(
-                ReductionStep(
-                    _unscale(D, tn, td, deg_v, deg_a, groups),
-                    LinForm(Fraction(ka, D), Fraction((kv - ka * td) // tn, D)) if lead else None,
-                    Move.CREMONA if cremona
-                    else Move.MERGE if merge_at >= 0
-                    else Move.TERMINATE,
-                )
-            )
-        if cremona:
-            deg_v += kv
-            deg_a += ka
-            # take the three leading units off before inserting any: a moved
-            # form may overtake one that is still waiting to move
-            if lead == 1:
                 pending = ((g1[0] + kv, g1[1] + ka, 3),)
                 if n1 > 3:
                     g1[2] = n1 - 3
@@ -398,6 +366,7 @@ def quadric_threshold(
                     groups.pop()
             elif lead == 2:
                 n2 = 3 - n1
+                ka = deg_a - n1 * g1[1] - n2 * g2[1]
                 pending = ((g1[0] + kv, g1[1] + ka, n1), (g2[0] + kv, g2[1] + ka, n2))
                 groups.pop()
                 if g2[2] > n2:
@@ -405,6 +374,7 @@ def quadric_threshold(
                 else:
                     groups.pop()
             else:
+                ka = deg_a - g1[1] - g2[1] - g3[1]
                 pending = ((g1[0] + kv, g1[1] + ka, 1), (g2[0] + kv, g2[1] + ka, 1),
                            (g3[0] + kv, g3[1] + ka, 1))
                 if g3[2] > 1:
@@ -412,30 +382,40 @@ def quadric_threshold(
                     del groups[-2:]
                 else:
                     del groups[-3:]
+            deg_v += kv
+            deg_a += ka
             total -= 3
-        elif merge_at >= 0:
-            g = groups[merge_at]
+            cremonas += 1
+        else:
+            # merge four units of the greatest form that has them
+            for i in range(len(groups) - 1, -1, -1):
+                if groups[i][2] >= 4:
+                    break
+            else:
+                break  # neither move applies: the system is terminal
+            g = groups[i]
             if g[2] > 4:
                 g[2] -= 4
             else:
-                del groups[merge_at]
+                del groups[i]
             total -= 4
             pending = ((2 * g[0], 2 * g[1], 1),)
-        else:
-            break
+            merges += 1
     else:
         raise IterationLimitError(
             f"plane reduction exceeded {MAX_STEPS} steps for delta={inp.delta}, p={inp.p}, "
             f"q_count={inp.q_count}, q_sum={inp.q_sum}, q_min={inp.q_min} at tau={tau}"
         )
-    return ThresholdResult(_terminal_t0(deg_a, (deg_v - deg_a * td) // tn, inp.q_min), tuple(steps))
+    t0 = _terminal_t0(deg_a, (deg_v - deg_a * td) // tn, inp.q_min)
+    return ThresholdResult(t0, cremonas, merges)
 
 
 def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdResult:
     """The reduction of :func:`quadric_threshold` by the public Fraction
     operations alone: normalize, a Cremona move while k(tau) < 0, else a
     four-fold merge, recording every state.  The oracle for the integer
-    kernel, whose traced result must equal this one step for step."""
+    kernel, whose t0 and move counts must equal these, and the only
+    reduction that records its steps (``trace-t`` renders them)."""
     tau = as_rational(tau)
     if inp.delta <= 0:
         raise ValueError("the plane reduction needs a positive degree")
@@ -450,7 +430,9 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
             move = Move.TERMINATE if nxt is None else Move.MERGE
         steps.append(ReductionStep(sys, k, move))
         if nxt is None:
-            return ThresholdResult(_terminal_t0(sys.degree.a, sys.degree.b, inp.q_min), tuple(steps))
+            moves = Counter(step.move for step in steps)
+            t0 = _terminal_t0(sys.degree.a, sys.degree.b, inp.q_min)
+            return ThresholdResult(t0, moves[Move.CREMONA], moves[Move.MERGE], tuple(steps))
         sys = nxt
 
 

@@ -104,7 +104,8 @@ class _State:
     def move(self, step: int, move: LMove, t: Fraction | None, final: bool = False,
              tau: Fraction | None = None) -> None:
         """Take step ``step`` (``final``: the last) or raise an AssertionError naming
-        it; given ``tau``, a subtraction must also stay within t0 at tau.  A
+        it, also for a move that is not an LMove; given ``tau``, a
+        subtraction must also stay within t0 at tau.  A
         "yes" records None and every other move a rational, which as_rational
         reads, so a float there is a TypeError."""
         if move is LMove.SUBTRACT:
@@ -112,7 +113,7 @@ class _State:
             if t is None or t.numerator <= 0 or self.delta.numerator <= 0:  # a Fraction's sign
                 raise AssertionError(f"step {step}: subtraction of {t} from degree {self.delta}")
             if tau is not None:
-                t0 = quadric_threshold(self, tau, want_trace=False).t0
+                t0 = quadric_threshold(self, tau).t0
                 if t > t0:
                     raise AssertionError(f"step {step}: subtraction of {t} exceeds the threshold {t0}")
             self.delta -= 2 * t
@@ -127,6 +128,8 @@ class _State:
             self.p -= 1
             self.q_sum += 1
             self.ends.append(self.total + 1)
+        elif not isinstance(move, LMove):
+            raise AssertionError(f"step {step}: unknown move {move!r}")
         elif not final:
             raise AssertionError(f"step {step}: terminal move before the end")
         elif move is LMove.TERMINATE_YES:
@@ -182,7 +185,7 @@ def certify_lower_bound(
         if state.exit_yes():
             moves.append((LMove.TERMINATE_YES, None))
             return DegenerationResult(True, (delta, s, tuple(moves)))
-        t0 = quadric_threshold(state, tau, want_trace=False).t0
+        t0 = quadric_threshold(state, tau).t0
         if t0 >= tau or (t0 > 0 and t0 == state.q_min):
             move = LMove.SUBTRACT
         elif state.p > 0:

@@ -47,3 +47,12 @@ def test_largest_root_spans_one_per_root(tmp_path):
     assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 20
     cache = str(tmp_path / "c.json")
     assert root_spans(layers, ["bound", "5", "--no-l", "--cache", cache]) == 1
+
+
+def test_trace_t_records_one_kernel_span():
+    # a traced trace-t op must reach the rebound plane.quadric_threshold
+    # once: its t0 is the kernel's, its steps the reference reduction's
+    layers = load_layers()
+    with layers.traced() as tracer:
+        assert cli.main(["trace-t", "7;1,1,1,1,1;15"]) == 0
+    assert [span[0] for span in tracer.spans].count("plane.quadric_threshold") == 1

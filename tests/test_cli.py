@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from waldlines import plane
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
 from waldlines.linform import as_rational, parse_linform
@@ -105,6 +106,16 @@ class TestTraceT:
         assert len(payload["steps"]) == 19
         assert payload["steps"][0]["mults"] == [["7-2t", 1], ["2+3t", 1], ["1", 30]]
         assert payload["steps"][0]["move"] == "cremona"
+
+    def test_kernel_threshold_must_match_the_reference(self, capsys, monkeypatch):
+        # the steps come from the reference reduction, the printed t0 from
+        # the kernel; a kernel that disagrees is an error, not a trace
+        wrong = plane.ThresholdResult(F(1, 2), 0, 0)
+        monkeypatch.setattr(plane, "quadric_threshold", lambda inp, tau: wrong)
+        code, out, err = run(capsys, "trace-t", "7;1,1,1,1,1;15")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "1/2" in err and "8/141" in err
 
     def test_malformed_input_no_partial_output(self, capsys):
         code, out, err = run(capsys, "trace-t", "7;;x")

@@ -130,6 +130,9 @@ FORGED = {
     "truncated": (True, (F(4), 8, ((SPEC, F(0)),)), "step 0: answer True contradicts the exit"),
     # (1/2; | 1) exits "yes" at once, but a "yes" records no threshold
     "yes-with-value": (True, (F(1, 2), 1, ((YES, 0.25),)), "step 0: a yes records 0.25, not None"),
+    # the golden (4; 1^8) certificate with its first move a plain string
+    "unknown-move": (True, (F(4), 8, (("specialize", F(0)),) + GOLDEN_MOVES[1:]),
+                     "step 0: unknown move 'specialize'"),
 }
 # name -> (answer, certificate) with a float where a rational belongs, which
 # replay_degeneration and .steps must refuse with a TypeError
@@ -213,7 +216,7 @@ class TestDegeneration:
         for delta, s in GOLDEN_DIGEST_CASES:
             for i, step in enumerate(certify_lower_bound(delta, s, TAU).steps):
                 if step.t0 is not None:
-                    got = quadric_threshold(step.system, TAU, want_trace=False).t0
+                    got = quadric_threshold(step.system, TAU).t0
                     assert got == step.t0, (delta, s, i, step.move)
 
     def test_answers_build_no_states(self, monkeypatch):
