@@ -17,9 +17,12 @@ forced negative on a t-range the original system is stably empty there.  The
 input is a space system (delta; q_1..q_s | 1^p) and the returned threshold t0
 encodes that range: its restriction-to-quadric system is stably empty for all
 rational 0 <= t < t0.  The reduction reads the q_j only through three
-aggregates, their count, sum and least value (SystemAggregates): a
-SpaceSystem computes them from its multiplicities, and the degeneration loop
-in space.py keeps them up to date in O(1) per step.
+aggregates, their count, sum and least value, and reads delta, the sum and
+the least value as integers at a common scale D (SystemAggregates.scaled): a
+SpaceSystem computes them from its multiplicities with D the lcm of the
+denominators of delta and the sum, and the degeneration loop in space.py
+holds them at its own reduced scale and keeps them up to date in O(1) per
+step.
 
 The reduction has two implementations.  quadric_threshold, the one every
 caller of t0 uses, runs on integers and returns t0 with the numbers of
@@ -124,16 +127,31 @@ class SpaceSystem:
     def q_min(self) -> Fraction | None:
         return min(self.specialized, default=None)
 
+    def scaled(self) -> tuple[int, int, int, tuple[int, int] | None]:
+        delta, q, q_min = self.delta, self.q_sum, self.q_min
+        D = math.lcm(delta.denominator, q.denominator)
+        return (D, delta.numerator * (D // delta.denominator), q.numerator * (D // q.denominator),
+                None if q_min is None else (q_min.numerator, q_min.denominator))
+
 
 class SystemAggregates(Protocol):
     """What the plane reduction reads of a space system (a SpaceSystem or the
-    degeneration loop's state); q_min is None when no line is specialized."""
+    degeneration loop's state); q_min is None when no line is specialized.
+
+    The integer kernel reads only p, q_count and scaled(), which gives
+    (D, D*delta, D*q_sum, q_min) for a positive integer D that makes both
+    products integers, with q_min as a pair (numerator, positive
+    denominator) or None.  A SpaceSystem takes D = lcm(den delta, den q_sum);
+    the loop's state holds its values at such a scale.  delta, q_sum and
+    q_min as Fractions serve the reference reduction and error messages."""
 
     delta: Fraction
     p: int
     q_count: int
     q_sum: Fraction
     q_min: Fraction | None
+
+    def scaled(self) -> tuple[int, int, int, tuple[int, int] | None]: ...
 
 
 @dataclass(frozen=True)
@@ -248,46 +266,45 @@ def merge_four(sys: PlaneSystem, tau: RationalLike) -> PlaneSystem | None:
 MAX_STEPS = 1_000_000
 
 
-def _terminal_t0(a: int | Fraction, b: int | Fraction, q_min: Fraction | None) -> Fraction:
+def _terminal_t0(a: int | Fraction, b: int | Fraction, q_min: tuple[int, int] | None) -> Fraction:
     """The threshold formula of :func:`quadric_threshold` for the terminal
-    degree a + b*t, which may be given at any positive scale."""
+    degree a + b*t, which may be given at any positive scale, and q_min as
+    a pair (numerator, positive denominator)."""
     if a >= 0:
         return Fraction(0)
-    if b <= 0:
-        return Fraction(0) if q_min is None else q_min
-    root = Fraction(-a, b)
-    return root if q_min is None else min(root, q_min)
+    if q_min is not None:
+        qn, qd = q_min
+        if b <= 0 or qn * b <= -a * qd:  # q_min <= -a/b
+            return Fraction(qn, qd)
+    elif b <= 0:
+        return Fraction(0)
+    return Fraction(-a, b)
 
 
 def _scaled_groups(
-    inp: SystemAggregates, tn: int, td: int
+    D: int, delta: int, q: int, s: int, p: int, tn: int, td: int
 ) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Integer form of the associated system, scaled by the lcm D of the
-    denominators of delta and of q = sum(q_j), each form a + b*t held as
+    """Integer form of the associated system of (delta; q_1..q_s | 1^p),
+    given with delta and q = sum(q_j) scaled by D, each form a + b*t held as
     its value v = a*td + b*tn at tau = tn/td and its constant a: returns
     (deg_v, deg_a, groups) with groups entries (v, a, count).  The system
     depends on the q_j only through q, and scaling it uniformly changes no
     comparison and no root, so the reduction may run entirely in integer
     arithmetic.
     """
-    q_sum = inp.q_sum
-    D = math.lcm(inp.delta.denominator, q_sum.denominator)
-    delta = inp.delta.numerator * (D // inp.delta.denominator)
-    q = q_sum.numerator * (D // q_sum.denominator)
-    s = inp.q_count
     deg_a, deg_b = 2 * delta - q, D * (s - 4)
     forms = [(delta, -2 * D, 1), (delta - q, D * (s - 2), 1)]
-    if inp.p > 0:
-        forms.append((D, 0, 2 * inp.p))
+    if p > 0:
+        forms.append((D, 0, 2 * p))
     return deg_a * td + deg_b * tn, deg_a, [(a * td + b * tn, a, n) for a, b, n in forms]
 
 
 def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResult:
     """Reduce the plane system associated with ``inp``, whose degree must be
-    positive, and return the threshold t0.  Of ``inp`` only delta, p,
-    q_count, q_sum and q_min are read: a SpaceSystem computes them from its
-    q_j, the degeneration loop's state holds them, so a call from the loop
-    does no work per specialized line.
+    positive, and return the threshold t0.  Of ``inp`` only p, q_count and
+    scaled() are read (SystemAggregates): a SpaceSystem computes them from
+    its q_j, the degeneration loop's state holds them, so a call from the
+    loop does no work per specialized line and takes no lcm.
 
     The loop alternates normalization, Cremona moves (while k(tau) < 0) and
     four-fold merges until neither applies.  With terminal degree a + b*t the
@@ -302,8 +319,9 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     numbers of Cremona moves and merges, which equal those of
     :func:`reference_reduction`; it records no steps.
 
-    Internally the loop runs on the integer system scaled by
-    D = lcm(den(delta), den(sum q_j)).  A form a + b*t is held as its value
+    Internally the loop runs on the integer system scaled by the D of
+    ``inp.scaled()``, and q_min is compared by cross-multiplying.  A form
+    a + b*t is held as its value
     v = a*td + b*tn at tau = tn/td and its constant a: these determine
     b = (v - a*td)/tn, and ordering by (v, a) is normalize's order by
     (value, a, b).  The groups stay in normalized order: a move changes at
@@ -318,10 +336,11 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     tau = as_rational(tau)
     if tau.numerator <= 0:  # a Fraction has its numerator's sign
         raise ValueError("tau must be positive")
-    if inp.delta.numerator <= 0:
+    D, delta, q, q_min = inp.scaled()
+    if delta <= 0:
         raise ValueError("the plane reduction needs a positive degree")
     tn, td = tau.numerator, tau.denominator
-    deg_v, deg_a, pending = _scaled_groups(inp, tn, td)
+    deg_v, deg_a, pending = _scaled_groups(D, delta, q, inp.q_count, inp.p, tn, td)
     # [v, a, count] ascending by (v, a), one entry per distinct form:
     # normalize's order reversed, so the leading multiplicities sit at the
     # end; total counts the units kept
@@ -406,7 +425,7 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
             f"plane reduction exceeded {MAX_STEPS} steps for delta={inp.delta}, p={inp.p}, "
             f"q_count={inp.q_count}, q_sum={inp.q_sum}, q_min={inp.q_min} at tau={tau}"
         )
-    t0 = _terminal_t0(deg_a, (deg_v - deg_a * td) // tn, inp.q_min)
+    t0 = _terminal_t0(deg_a, (deg_v - deg_a * td) // tn, q_min)
     return ThresholdResult(t0, cremonas, merges)
 
 
@@ -431,7 +450,9 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
         steps.append(ReductionStep(sys, k, move))
         if nxt is None:
             moves = Counter(step.move for step in steps)
-            t0 = _terminal_t0(sys.degree.a, sys.degree.b, inp.q_min)
+            q_min = inp.q_min
+            q_min = None if q_min is None else (q_min.numerator, q_min.denominator)
+            t0 = _terminal_t0(sys.degree.a, sys.degree.b, q_min)
             return ThresholdResult(t0, moves[Move.CREMONA], moves[Move.MERGE], tuple(steps))
         sys = nxt
 

@@ -24,18 +24,22 @@ code reproduces take exactly these sub-tau steps.
 
 The loop does not build its states.  The loop, replay_degeneration and
 DegenerationResult.steps all advance one private state, which keeps what the
-plane reduction reads in amortized O(1) Fraction operations per step and
-whose move method rejects any move the state cannot take.  The loop records a
-compact certificate, the start (delta, s) and one (move, t0) pair per step; a
-DegenerationResult is the answer and that certificate.  The replay re-derives
-the threshold at every subtraction and checks the exit without building a
-SpaceSystem; only .steps, on first read, materializes the states.
+plane reduction reads as integers at one common scale D, reduced after every
+subtraction, and whose move method rejects any move the state cannot take.
+Per step the loop compares t0 with tau and q_min on numerators and
+denominators, and the only Fraction it makes is t0 itself, which the kernel
+returns in lowest terms.  The loop records a compact certificate, the start
+(delta, s) and one (move, t0) pair per step; a DegenerationResult is the
+answer and that certificate.  The replay re-derives the threshold at every
+subtraction and checks the exit without building a SpaceSystem; only .steps,
+on first read, materializes the states as Fractions.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -69,17 +73,42 @@ Certificate = tuple[Fraction, int, tuple[tuple[LMove, Fraction | None], ...]]
 
 class _State:
     """A state (delta; q_1..q_m | 1^p) without its q_j, holding what the plane
-    reduction reads (plane.SystemAggregates).  A line specialized when the
-    subtractions totalled T_j has q_j = 1 - (total - T_j), and ``ends`` holds
-    1 + T_j, the total at which it reaches zero.  New lines join last with the
-    greatest end, so the least and greatest q_j sit at the two ends and a
-    subtraction zeroes a prefix.  Since t <= t0 <= q_min (the replay checks
-    it), subtracting t lowers the sum of m lines by exactly m*t."""
+    reduction reads (plane.SystemAggregates) as integers at one scale D.  A
+    line specialized when the subtractions totalled T_j has
+    q_j = 1 - (T - T_j), and ``ends`` holds 1 + T_j, the total at which it
+    reaches zero.  New lines join last with the greatest end, so the least
+    and greatest q_j sit at the two ends and a subtraction zeroes a prefix.
+    Since t <= t0 <= q_min (the replay checks it), subtracting t lowers the
+    sum of m lines by exactly m*t.
+
+    ``deg``, ``qsum``, ``total`` and ``ends`` are delta, the sum of the q_j,
+    T and the ends times D.  A subtraction whose denominator does not divide
+    D multiplies all of them by the missing factor, and every subtraction
+    then divides them by their common gcd, so D stays their least common
+    denominator.  delta, q_sum and q_min are read back as Fractions."""
 
     def __init__(self, delta: Fraction, s: int) -> None:
-        self.delta, self.p = delta, s
-        self.q_count, self.q_sum, self.q_min = 0, Fraction(0), None
-        self.total, self.ends = Fraction(0), deque()
+        self.D, self.deg, self.p = delta.denominator, delta.numerator, s
+        self.q_count, self.qsum, self.total, self.ends = 0, 0, 0, deque()
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.deg, self.D)
+
+    @property
+    def q_sum(self) -> Fraction:
+        return Fraction(self.qsum, self.D)
+
+    @property
+    def q_min(self) -> Fraction | None:
+        return Fraction(self.ends[0] - self.total, self.D) if self.ends else None
+
+    def scaled(self) -> tuple[int, int, int, tuple[int, int] | None]:
+        return self.D, self.deg, self.qsum, (self.ends[0] - self.total, self.D) if self.ends else None
+
+    def at_q_min(self, t: Fraction) -> bool:
+        """Whether t is the least q_j."""
+        return bool(self.ends) and t.numerator * self.D == (self.ends[0] - self.total) * t.denominator
 
     @classmethod
     def walk(cls, certificate: Certificate, tau: Fraction | None = None) -> Iterator[tuple]:
@@ -88,18 +117,21 @@ class _State:
         delta, s, moves = certificate
         if not moves:
             raise AssertionError("empty certificate")
+        delta = as_rational(delta)
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise TypeError(f"the line count {s!r} is not an int")
         if delta <= 0 or s < 1:
             raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")
-        state = cls(as_rational(delta), s)
+        state = cls(delta, s)
         for i, (move, t) in enumerate(moves):
             yield i, state, move, t
             state.move(i, move, t, final=i == len(moves) - 1, tau=tau)
 
     def exit_yes(self) -> bool:
         """The "yes" exit: delta <= 0, delta < 1 with p >= 1, or delta < q_max."""
-        if self.delta <= 0 or (self.delta < 1 and self.p >= 1):
+        if self.deg <= 0 or (self.deg < self.D and self.p >= 1):
             return True
-        return bool(self.ends) and self.delta < self.ends[-1] - self.total
+        return bool(self.ends) and self.deg < self.ends[-1] - self.total
 
     def move(self, step: int, move: LMove, t: Fraction | None, final: bool = False,
              tau: Fraction | None = None) -> None:
@@ -110,24 +142,20 @@ class _State:
         reads, so a float there is a TypeError."""
         if move is LMove.SUBTRACT:
             t = None if t is None else as_rational(t)
-            if t is None or t.numerator <= 0 or self.delta.numerator <= 0:  # a Fraction's sign
+            if t is None or t.numerator <= 0 or self.deg <= 0:  # a Fraction's sign
                 raise AssertionError(f"step {step}: subtraction of {t} from degree {self.delta}")
             if tau is not None:
                 t0 = quadric_threshold(self, tau).t0
-                if t > t0:
+                if t.numerator * t0.denominator > t0.numerator * t.denominator:
                     raise AssertionError(f"step {step}: subtraction of {t} exceeds the threshold {t0}")
-            self.delta -= 2 * t
-            self.q_sum -= self.q_count * t
-            self.total += t
-            while self.ends and self.ends[0] <= self.total:
-                self.ends.popleft()
+            self._subtract(t.numerator, t.denominator)
         elif move is LMove.SPECIALIZE:
             as_rational(t)  # the threshold the loop declined, exact like any recorded value
             if self.p == 0:
                 raise AssertionError(f"step {step}: specialization with no general line left")
             self.p -= 1
-            self.q_sum += 1
-            self.ends.append(self.total + 1)
+            self.qsum += self.D
+            self.ends.append(self.total + self.D)
         elif not isinstance(move, LMove):
             raise AssertionError(f"step {step}: unknown move {move!r}")
         elif not final:
@@ -138,10 +166,27 @@ class _State:
         else:
             as_rational(t)
         self.q_count = len(self.ends)
-        self.q_min = self.ends[0] - self.total if self.ends else None
+
+    def _subtract(self, tn: int, td: int) -> None:
+        """Subtract t = tn/td (in lowest terms): scale by the factor f that
+        td adds to D, then divide by the common gcd g."""
+        g = math.gcd(self.D, td)
+        f, t = td // g, tn * (self.D // g)  # t at the scale D*f
+        D, total = self.D * f, self.total * f + t
+        deg, qsum = self.deg * f - 2 * t, self.qsum * f - self.q_count * t
+        ends = self.ends
+        while ends and ends[0] * f <= total:
+            ends.popleft()
+        g = math.gcd(D, deg, qsum, total)
+        if g > 1:
+            g = math.gcd(g, *(e * f for e in ends))
+        if f != g:
+            self.ends = deque(e * f // g for e in ends)
+        self.D, self.deg, self.qsum, self.total = D // g, deg // g, qsum // g, total // g
 
     def system(self) -> SpaceSystem:
-        return SpaceSystem(self.delta, tuple(e - self.total for e in self.ends), self.p)
+        D, total = self.D, self.total
+        return SpaceSystem(Fraction(self.deg, D), tuple(Fraction(e - total, D) for e in self.ends), self.p)
 
 
 @dataclass(frozen=True)
@@ -179,6 +224,7 @@ def certify_lower_bound(
         raise ValueError("tau must be positive")
     if s < 1:
         raise ValueError("s must be positive")
+    tn, td = tau.numerator, tau.denominator
     state = _State(delta, s)
     moves: list[tuple[LMove, Fraction | None]] = []
     for i in range(MAX_STEPS):
@@ -186,7 +232,8 @@ def certify_lower_bound(
             moves.append((LMove.TERMINATE_YES, None))
             return DegenerationResult(True, (delta, s, tuple(moves)))
         t0 = quadric_threshold(state, tau).t0
-        if t0 >= tau or (t0 > 0 and t0 == state.q_min):
+        n = t0.numerator
+        if n * td >= tn * t0.denominator or (n > 0 and state.at_q_min(t0)):
             move = LMove.SUBTRACT
         elif state.p > 0:
             move = LMove.SPECIALIZE
@@ -216,7 +263,7 @@ def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[
     want = LMove.TERMINATE_YES if result.answer else LMove.TERMINATE_NO
     if move is not want or state.exit_yes() != result.answer:
         raise AssertionError(f"step {i}: answer {result.answer} contradicts the exit")
-    return result.certificate[:2]
+    return as_rational(result.certificate[0]), result.certificate[1]
 
 
 def best_bound(

@@ -144,9 +144,11 @@ def explicit_exit(sys: SpaceSystem) -> bool:
 def check_walk_against_explicit_states(res: DegenerationResult) -> None:
     """Assert that the shared walk of ``res.certificate`` agrees with
     :func:`explicit_states` at every step: the materialized system, the
-    aggregates the plane reduction reads and the exit test."""
+    aggregates the plane reduction reads and the exit test, and that the
+    state's scale D is reduced: no factor divides D and all its values."""
     walk = zip(_State.walk(res.certificate), explicit_states(res.certificate))
     for n, ((i, state, _, _), want) in enumerate(walk, start=1):
+        assert math.gcd(state.D, state.deg, state.qsum, state.total, *state.ends) == 1, i
         assert state.system() == want, i
         got = (state.delta, state.p, state.q_count, state.q_sum, state.q_min)
         assert got == (want.delta, want.p, want.q_count, want.q_sum, want.q_min), i

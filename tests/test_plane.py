@@ -23,7 +23,7 @@ from waldlines.plane import (
     quadric_threshold,
     reference_reduction,
 )
-from waldlines.space import certify_lower_bound
+from waldlines.space import _State, certify_lower_bound
 
 TAU = F(1, 1000)
 
@@ -249,13 +249,22 @@ class TestKernelOracle:
 
 class TestIterationLimit:
     def test_message_names_the_aggregates(self, monkeypatch):
-        # the loop hands the kernel its own state, whose repr is no help
+        # the loop hands the kernel its own state, whose repr is no help; the
+        # state before the 3/5045 subtraction of the (4; 1^8) run holds its
+        # values as integers at the scale D = 5045, and the message must
+        # name them as rationals
+        res = certify_lower_bound(F(4), 8, TAU)
+        _, deep, _, t = next(step for step in _State.walk(res.certificate) if step[0] == 12)
+        assert t == F(3, 5045) and deep.D == 5045
         monkeypatch.setattr(plane, "MAX_STEPS", 2)
         want = "plane reduction exceeded 2 steps for delta=4, p=8, q_count=0, q_sum=0, q_min=None at tau=1/1000"
         with pytest.raises(IterationLimitError, match=f"^{re.escape(want)}$"):
             certify_lower_bound(F(4), 8, TAU)
         with pytest.raises(IterationLimitError, match="for delta=7, p=15, q_count=5, q_sum=5, q_min=1 at"):
             quadric_threshold(GOLDEN_INPUT, TAU)
+        want = "for delta=10096/5045, p=4, q_count=4, q_sum=5054/5045, q_min=3/5045 at tau=1/1000"
+        with pytest.raises(IterationLimitError, match=f"{re.escape(want)}$"):
+            quadric_threshold(deep, TAU)
 
 
 class TestFormatParse:

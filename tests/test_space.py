@@ -1,6 +1,9 @@
+import fractions
 import hashlib
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -145,6 +148,15 @@ FLOATED = {
 }
 
 
+# name -> (certificate, expected replay result or the TypeError's message):
+# the start is read like every recorded value, and the line count is an int
+STARTS = {
+    "float-s": ((F(4), 8.0, GOLDEN_MOVES), "the line count 8.0 is not an int"),
+    "bool-s": ((F(2), True, ((SPEC, F(0)), (NO, F(0)))), "the line count True is not an int"),
+    "string-delta": (("4", 8, GOLDEN_MOVES), (F(4), 8)),
+}
+
+
 class TestDegeneration:
     def test_golden_trace(self):
         res = certify_lower_bound(F(4), 8, TAU)
@@ -176,6 +188,19 @@ class TestDegeneration:
             replay_degeneration(result, TAU)
         with pytest.raises(TypeError, match="cannot interpret float as a rational"):
             result.steps
+
+    @pytest.mark.parametrize("name", sorted(STARTS))
+    def test_replay_reads_the_start(self, name):
+        certificate, want = STARTS[name]
+        result = DegenerationResult(True, certificate)
+        if isinstance(want, str):
+            with pytest.raises(TypeError, match=f"^{want}$"):
+                replay_degeneration(result, TAU)
+            with pytest.raises(TypeError, match=f"^{want}$"):
+                result.steps
+        else:
+            assert replay_degeneration(result, TAU) == want
+            assert result.steps[0].system == SpaceSystem(want[0], (), want[1])
 
     def test_replay_rejects_a_non_rational_specialization_value(self):
         # the golden (4; 1^8) certificate with a string where its first
@@ -209,15 +234,18 @@ class TestDegeneration:
             assert reference_reduction(st.system, TAU).t0 == st.t0
 
     def test_recorded_thresholds_match_the_states(self):
-        # the loop hands the kernel O(1) aggregates of a state it never
-        # builds; the kernel must give the same t0 on the rebuilt state, for
-        # every move that records one, down to the 300+-bit denominators of
-        # the s = 50 cases
+        # the loop hands the kernel its live state, which answers scaled()
+        # in O(1) at its own reduced scale; the kernel must give the same
+        # outcome on the materialized state, scaled by SpaceSystem.scaled(),
+        # and the recorded t0, for every move that records one, down to the
+        # 300+-bit denominators of the s = 50 cases
         for delta, s in GOLDEN_DIGEST_CASES:
-            for i, step in enumerate(certify_lower_bound(delta, s, TAU).steps):
-                if step.t0 is not None:
-                    got = quadric_threshold(step.system, TAU).t0
-                    assert got == step.t0, (delta, s, i, step.move)
+            res = certify_lower_bound(delta, s, TAU)
+            for i, state, move, t0 in space._State.walk(res.certificate):
+                if t0 is not None:
+                    got = helpers.outcome(quadric_threshold(state, TAU))
+                    assert got == helpers.outcome(quadric_threshold(state.system(), TAU)), (delta, s, i)
+                    assert got[0] == t0, (delta, s, i, move)
 
     def test_answers_build_no_states(self, monkeypatch):
         # answer-only callers must not pay for the trace: no SpaceSystem is
@@ -248,6 +276,30 @@ class TestDegeneration:
         assert built == []
         assert len(kernel_calls) == sum(move is SUB for move, _ in res.certificate[2]) > 1
         assert len(res.steps) == len(built) > 1
+
+    def test_loop_does_no_fraction_arithmetic(self):
+        # the state holds integers at one scale: per step the loop makes one
+        # Fraction, the kernel's t0, and the kernel takes no lcm
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls[frame.f_code.co_name] += 1
+            elif event == "c_call" and arg is math.lcm:
+                calls["lcm"] += 1
+
+        delta = PINNED_BEST[50]
+        sys.setprofile(profile)
+        try:
+            res = certify_lower_bound(delta, 50, TAU)
+        finally:
+            sys.setprofile(None)
+        kernel_calls = len(res.certificate[2]) - 1  # all but the final "yes"
+        assert res.answer is True and kernel_calls > 700
+        assert calls.pop("__new__") == kernel_calls
+        arithmetic = {name: n for name, n in calls.items() if name not in ("numerator", "denominator")}
+        # once per run: the argument checks delta <= 0 and tau <= 0
+        assert sum(arithmetic.values()) <= 4, arithmetic
 
     def test_sub_tau_subtraction_removes_lines(self):
         # the step at t0 = 3/5045 < tau is taken because t0 equals the least
