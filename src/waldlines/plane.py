@@ -21,14 +21,16 @@ aggregates, their count, sum and least value, and reads delta, the sum and
 the least value as integers at a common scale D (SystemAggregates.scaled): a
 SpaceSystem computes them from its multiplicities with D the lcm of the
 denominators of delta and the sum, and the degeneration loop in space.py
-holds them at its own reduced scale and keeps them up to date in O(1) per
-step.
+holds them at its own reduced scale and keeps them up to date with no
+Python code per specialized line.
 
 The reduction has two implementations.  quadric_threshold, the one every
 caller of t0 uses, runs on integers and returns t0 with the numbers of
-Cremona moves and merges it took.  reference_reduction runs the same moves
-on the Fraction systems below and records every state: it is the kernel's
-oracle in the tests and the trace that ``trace-t`` prints.
+Cremona moves and merges it took; outside its per-move loop a call builds
+three integer forms and one tuple, and makes no Fraction but t0.
+reference_reduction runs the same moves on the Fraction systems below and
+records every state: it is the kernel's oracle in the tests and the trace
+that ``trace-t`` prints.
 
 Multiplicity lists are kept run-length encoded: systems routinely carry
 hundreds of repeated entries (1^2p blocks), and every move touches at most a
@@ -43,7 +45,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .linform import LinForm, RationalLike, as_rational, format_linform
 
@@ -164,10 +166,11 @@ class ReductionStep:
     move: Move
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """The threshold and the numbers of Cremona moves and merges taken;
-    ``steps``, every recorded state, is filled by reference_reduction only."""
+    ``steps``, every recorded state, is filled by reference_reduction only.
+    A tuple, so the kernel builds it with tuple.__new__ and runs no Python
+    constructor per call."""
 
     t0: Fraction
     cremona: int
@@ -281,24 +284,6 @@ def _terminal_t0(a: int | Fraction, b: int | Fraction, q_min: tuple[int, int] | 
     return Fraction(-a, b)
 
 
-def _scaled_groups(
-    D: int, delta: int, q: int, s: int, p: int, tn: int, td: int
-) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Integer form of the associated system of (delta; q_1..q_s | 1^p),
-    given with delta and q = sum(q_j) scaled by D, each form a + b*t held as
-    its value v = a*td + b*tn at tau = tn/td and its constant a: returns
-    (deg_v, deg_a, groups) with groups entries (v, a, count).  The system
-    depends on the q_j only through q, and scaling it uniformly changes no
-    comparison and no root, so the reduction may run entirely in integer
-    arithmetic.
-    """
-    deg_a, deg_b = 2 * delta - q, D * (s - 4)
-    forms = [(delta, -2 * D, 1), (delta - q, D * (s - 2), 1)]
-    if p > 0:
-        forms.append((D, 0, 2 * p))
-    return deg_a * td + deg_b * tn, deg_a, [(a * td + b * tn, a, n) for a, b, n in forms]
-
-
 def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResult:
     """Reduce the plane system associated with ``inp``, whose degree must be
     positive, and return the threshold t0.  Of ``inp`` only p, q_count and
@@ -320,9 +305,14 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     :func:`reference_reduction`; it records no steps.
 
     Internally the loop runs on the integer system scaled by the D of
-    ``inp.scaled()``, and q_min is compared by cross-multiplying.  A form
-    a + b*t is held as its value
-    v = a*td + b*tn at tau = tn/td and its constant a: these determine
+    ``inp.scaled()``: the system depends on the q_j only through their sum,
+    and scaling it uniformly changes no comparison and no root.  q_min is
+    compared by cross-multiplying.  The three forms of the associated
+    system are built inline from these integers, and the result is made
+    with tuple.__new__: outside the per-move loop a call runs no Python
+    code but as_rational, tau's two parts, scaled(), _terminal_t0 and t0's
+    Fraction.  A form a + b*t is held as its value v = a*td + b*tn at
+    tau = tn/td and its constant a: these determine
     b = (v - a*td)/tn, and ordering by (v, a) is normalize's order by
     (value, a, b).  The groups stay in normalized order: a move changes at
     most three of them, and the forms it makes are inserted by bisection
@@ -334,13 +324,21 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     only when a Cremona move is taken.
     """
     tau = as_rational(tau)
-    if tau.numerator <= 0:  # a Fraction has its numerator's sign
+    tn, td = tau.numerator, tau.denominator
+    if tn <= 0:  # a Fraction has its numerator's sign
         raise ValueError("tau must be positive")
     D, delta, q, q_min = inp.scaled()
     if delta <= 0:
         raise ValueError("the plane reduction needs a positive degree")
-    tn, td = tau.numerator, tau.denominator
-    deg_v, deg_a, pending = _scaled_groups(D, delta, q, inp.q_count, inp.p, tn, td)
+    # the associated system L2(2delta - q + (s-4)t; delta - 2t,
+    # delta - q + (s-2)t, 1^2p) at the scale D, each form as (v, a)
+    s, p, Dt = inp.q_count, inp.p, D * tn
+    deg_a = 2 * delta - q
+    deg_v = deg_a * td + (s - 4) * Dt
+    m2 = delta - q
+    pending = [(delta * td - 2 * Dt, delta, 1), (m2 * td + (s - 2) * Dt, m2, 1)]
+    if p > 0:
+        pending.append((D * td, D, 2 * p))
     # [v, a, count] ascending by (v, a), one entry per distinct form:
     # normalize's order reversed, so the leading multiplicities sit at the
     # end; total counts the units kept
@@ -426,7 +424,7 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
             f"q_count={inp.q_count}, q_sum={inp.q_sum}, q_min={inp.q_min} at tau={tau}"
         )
     t0 = _terminal_t0(deg_a, (deg_v - deg_a * td) // tn, q_min)
-    return ThresholdResult(t0, cremonas, merges)
+    return tuple.__new__(ThresholdResult, (t0, cremonas, merges, ()))
 
 
 def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdResult:

@@ -25,10 +25,13 @@ code reproduces take exactly these sub-tau steps.
 The loop does not build its states.  The loop, replay_degeneration and
 DegenerationResult.steps all advance one private state, which keeps what the
 plane reduction reads as integers at one common scale D, reduced after every
-subtraction, and whose move method rejects any move the state cannot take.
-Per step the loop compares t0 with tau and q_min on numerators and
-denominators, and the only Fraction it makes is t0 itself, which the kernel
-returns in lowest terms.  The loop records a compact certificate, the start
+subtraction.  The loop applies the moves it picks through the state's
+arithmetic directly, since its own branch already implies what a move
+needs (a positive t0 and degree, a general line left); the two walks over a
+certificate go through the state's move method, which rejects any move the
+state cannot take.  Per step the loop compares t0 with tau and q_min on
+numerators and denominators, and the only Fraction it makes is t0 itself,
+which the kernel returns in lowest terms.  The loop records a compact certificate, the start
 (delta, s) and one (move, t0) pair per step; a DegenerationResult is the
 answer and that certificate.  The replay re-derives the threshold at every
 subtraction and checks the exit without building a SpaceSystem; only .steps,
@@ -44,6 +47,8 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mul
 
 from .cubic import AsymptoticCubic, largest_root
 from .linform import RationalLike, as_rational
@@ -69,6 +74,20 @@ class DegenerationStep:
 
 
 Certificate = tuple[Fraction, int, tuple[tuple[LMove, Fraction | None], ...]]
+
+
+def _check_line_count(s: object) -> None:
+    if not isinstance(s, int) or isinstance(s, bool):
+        raise TypeError(f"the line count {s!r} is not an int")
+
+
+def _read(step: int, t: object) -> Fraction:
+    """as_rational(t) for step ``step`` of a certificate, its errors naming
+    the step."""
+    try:
+        return as_rational(t)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"step {step}: {exc}") from None
 
 
 class _State:
@@ -106,9 +125,9 @@ class _State:
     def scaled(self) -> tuple[int, int, int, tuple[int, int] | None]:
         return self.D, self.deg, self.qsum, (self.ends[0] - self.total, self.D) if self.ends else None
 
-    def at_q_min(self, t: Fraction) -> bool:
-        """Whether t is the least q_j."""
-        return bool(self.ends) and t.numerator * self.D == (self.ends[0] - self.total) * t.denominator
+    def at_q_min(self, tn: int, td: int) -> bool:
+        """Whether tn/td is the least q_j."""
+        return bool(self.ends) and tn * self.D == (self.ends[0] - self.total) * td
 
     @classmethod
     def walk(cls, certificate: Certificate, tau: Fraction | None = None) -> Iterator[tuple]:
@@ -118,8 +137,7 @@ class _State:
         if not moves:
             raise AssertionError("empty certificate")
         delta = as_rational(delta)
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise TypeError(f"the line count {s!r} is not an int")
+        _check_line_count(s)
         if delta <= 0 or s < 1:
             raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")
         state = cls(delta, s)
@@ -139,9 +157,9 @@ class _State:
         it, also for a move that is not an LMove; given ``tau``, a
         subtraction must also stay within t0 at tau.  A
         "yes" records None and every other move a rational, which as_rational
-        reads, so a float there is a TypeError."""
+        reads, so a float or a None there is a TypeError naming the step."""
         if move is LMove.SUBTRACT:
-            t = None if t is None else as_rational(t)
+            t = None if t is None else _read(step, t)
             if t is None or t.numerator <= 0 or self.deg <= 0:  # a Fraction's sign
                 raise AssertionError(f"step {step}: subtraction of {t} from degree {self.delta}")
             if tau is not None:
@@ -150,12 +168,10 @@ class _State:
                     raise AssertionError(f"step {step}: subtraction of {t} exceeds the threshold {t0}")
             self._subtract(t.numerator, t.denominator)
         elif move is LMove.SPECIALIZE:
-            as_rational(t)  # the threshold the loop declined, exact like any recorded value
+            _read(step, t)  # the threshold the loop declined, exact like any recorded value
             if self.p == 0:
                 raise AssertionError(f"step {step}: specialization with no general line left")
-            self.p -= 1
-            self.qsum += self.D
-            self.ends.append(self.total + self.D)
+            self._specialize()
         elif not isinstance(move, LMove):
             raise AssertionError(f"step {step}: unknown move {move!r}")
         elif not final:
@@ -164,12 +180,23 @@ class _State:
             if t is not None:
                 raise AssertionError(f"step {step}: a yes records {t!r}, not None")
         else:
-            as_rational(t)
-        self.q_count = len(self.ends)
+            _read(step, t)
+
+    def _specialize(self) -> None:
+        """Specialize one general line (p > 0): it joins last with q = 1."""
+        self.p -= 1
+        self.q_count += 1
+        self.qsum += self.D
+        self.ends.append(self.total + self.D)
 
     def _subtract(self, tn: int, td: int) -> None:
-        """Subtract t = tn/td (in lowest terms): scale by the factor f that
-        td adds to D, then divide by the common gcd g."""
+        """Subtract t = tn/td (in lowest terms, 0 < t <= q_min): scale by the
+        factor f that td adds to D, then divide by the common gcd g.
+
+        g is prime to f: a prime of f divides td more often than D, so it
+        does not divide the new total D*f*(T + t).  So g divides each end
+        before it is scaled, and the ends' gcd and rescale run in C, with
+        no Python code per line."""
         g = math.gcd(self.D, td)
         f, t = td // g, tn * (self.D // g)  # t at the scale D*f
         D, total = self.D * f, self.total * f + t
@@ -179,10 +206,11 @@ class _State:
             ends.popleft()
         g = math.gcd(D, deg, qsum, total)
         if g > 1:
-            g = math.gcd(g, *(e * f for e in ends))
-        if f != g:
-            self.ends = deque(e * f // g for e in ends)
+            g = math.gcd(g, *ends)
+        if f != 1 or g != 1:
+            self.ends = deque(map(mul, map(floordiv, ends, repeat(g)), repeat(f)))
         self.D, self.deg, self.qsum, self.total = D // g, deg // g, qsum // g, total // g
+        self.q_count = len(self.ends)
 
     def system(self) -> SpaceSystem:
         D, total = self.D, self.total
@@ -216,6 +244,7 @@ def certify_lower_bound(
     A True answer certifies that the Waldschmidt constant of s very general
     lines in P^3 is at least delta.  A False answer certifies nothing.
     """
+    _check_line_count(s)
     delta = as_rational(delta)
     tau = as_rational(tau)
     if delta <= 0:
@@ -227,21 +256,24 @@ def certify_lower_bound(
     tn, td = tau.numerator, tau.denominator
     state = _State(delta, s)
     moves: list[tuple[LMove, Fraction | None]] = []
-    for i in range(MAX_STEPS):
+    for _ in range(MAX_STEPS):
         if state.exit_yes():
             moves.append((LMove.TERMINATE_YES, None))
             return DegenerationResult(True, (delta, s, tuple(moves)))
         t0 = quadric_threshold(state, tau).t0
-        n = t0.numerator
-        if n * td >= tn * t0.denominator or (n > 0 and state.at_q_min(t0)):
-            move = LMove.SUBTRACT
+        n, d = t0.numerator, t0.denominator
+        # the moves need no check: past the exit the degree is positive, a
+        # subtraction has t0 >= tau > 0 or t0 = q_min > 0, and the branch
+        # order gives a specialization p > 0
+        if n * td >= tn * d or (n > 0 and state.at_q_min(n, d)):
+            moves.append((LMove.SUBTRACT, t0))
+            state._subtract(n, d)
         elif state.p > 0:
-            move = LMove.SPECIALIZE
+            moves.append((LMove.SPECIALIZE, t0))
+            state._specialize()
         else:
             moves.append((LMove.TERMINATE_NO, t0))
             return DegenerationResult(False, (delta, s, tuple(moves)))
-        moves.append((move, t0))
-        state.move(i, move, t0)
     raise IterationLimitError(
         f"degeneration exceeded {MAX_STEPS} iterations for delta={delta}, s={s}"
     )
@@ -287,6 +319,7 @@ def best_bound(
     soundness does not depend on that premise; a hole would only make the
     result smaller than the scan's.
     """
+    _check_line_count(s)
     tau = as_rational(tau)
     grid = as_rational(grid)
     if grid <= 0:

@@ -6,7 +6,7 @@ import importlib.util
 from fractions import Fraction as F
 from pathlib import Path
 
-from waldlines import cli, space
+from waldlines import cli, plane, space
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -56,3 +56,50 @@ def test_trace_t_records_one_kernel_span():
     with layers.traced() as tracer:
         assert cli.main(["trace-t", "7;1,1,1,1,1;15"]) == 0
     assert [span[0] for span in tracer.spans].count("plane.quadric_threshold") == 1
+
+
+def test_kernel_spans_per_step():
+    # plane.quadric_threshold spans: the loop records one per step that
+    # records a t0, all but a final "yes", each inside its certify span;
+    # the replay, which has no span of its own, one per subtraction
+    layers = load_layers()
+    for delta, s in ((F(4), 8), (F(10), 2)):
+        with layers.traced() as tracer:
+            res = space.certify_lower_bound(delta, s, F(1, 1000))
+        moves = res.certificate[2]
+        kernel = [span for span in tracer.spans if span[0] == "plane.quadric_threshold"]
+        assert len(kernel) == len(moves) - res.answer
+        assert {span[3] for span in kernel} == {0}  # the certify span
+        with layers.traced() as tracer:
+            space.replay_degeneration(res, F(1, 1000))
+        kernel = [span for span in tracer.spans if span[0] == "plane.quadric_threshold"]
+        assert len(kernel) == sum(move is space.LMove.SUBTRACT for move, _ in moves)
+        assert {span[3] for span in kernel} <= {-1}
+
+
+def test_threshold_summary_reads():
+    # _threshold_info reads .steps and .t0.denominator of every kernel
+    # result; tests build a ThresholdResult from three positional fields
+    layers = load_layers()
+    made = plane.ThresholdResult(F(1, 2), 0, 0)
+    assert (made.t0, made.cremona, made.merge, made.steps) == (F(1, 2), 0, 0, ())
+    assert layers._threshold_info(made) == (0, 0, 2)  # 2 has two bits
+    got = plane.quadric_threshold(plane.SpaceSystem(F(4), (F(1),) * 3, 5), F(1, 1000))
+    assert got == plane.ThresholdResult(F(4, 7), got.cremona, got.merge) and got.steps == ()
+    assert layers._threshold_info(got) == (0, 0, 3)
+
+
+def test_search_pass_counters():
+    # the counters of one untimed search pass (best_bound for s = 6..10),
+    # as --trace 1 reports them
+    layers = load_layers()
+    with layers.traced() as tracer:
+        for s in range(6, 11):
+            space.best_bound(s, F(1, 1000), F(1, 1000))
+    counters, _, _ = layers.layer_metrics(tracer.spans, {None})
+    assert counters["space.best_bound.probes"] == 58
+    assert counters["space.certify_lower_bound.steps_subtract"] == 606
+    assert counters["space.certify_lower_bound.steps_specialize"] == 365
+    assert counters["space.certify_lower_bound.answers_yes"] == 34
+    assert counters["plane.quadric_threshold.calls"] == 995
+    assert counters["linform.max_den_bits"] == 40

@@ -146,6 +146,12 @@ FLOATED = {
     # (2; | 1) certifies nothing: it specializes its line, then ends "no"
     "float-terminal-no": (False, (F(2), 1, ((SPEC, F(0)), (NO, 0.0)))),
 }
+# name -> (answer, certificate, the step) with a None where a specialization
+# or a "no" records its threshold: a TypeError naming the step
+NONES = {
+    "none-specialization": (True, (F(4), 8, ((SPEC, None),) + GOLDEN_MOVES[1:]), 0),
+    "none-terminal-no": (False, (F(2), 1, ((SPEC, F(0)), (NO, None))), 1),
+}
 
 
 # name -> (certificate, expected replay result or the TypeError's message):
@@ -187,6 +193,16 @@ class TestDegeneration:
         with pytest.raises(TypeError, match="cannot interpret float as a rational"):
             replay_degeneration(result, TAU)
         with pytest.raises(TypeError, match="cannot interpret float as a rational"):
+            result.steps
+
+    @pytest.mark.parametrize("name", sorted(NONES))
+    def test_replay_rejects_none_thresholds(self, name):
+        answer, certificate, step = NONES[name]
+        result = DegenerationResult(answer, certificate)
+        want = f"^step {step}: cannot interpret NoneType as a rational$"
+        with pytest.raises(TypeError, match=want):
+            replay_degeneration(result, TAU)
+        with pytest.raises(TypeError, match=want):
             result.steps
 
     @pytest.mark.parametrize("name", sorted(STARTS))
@@ -301,6 +317,26 @@ class TestDegeneration:
         # once per run: the argument checks delta <= 0 and tau <= 0
         assert sum(arithmetic.values()) <= 4, arithmetic
 
+    def test_loop_call_budget(self):
+        # the loop applies its own moves and the kernel builds its forms and
+        # its result inline: per step, exit_yes, the kernel (as_rational,
+        # tau's two parts, scaled(), _terminal_t0, Fraction.__new__), t0's
+        # two parts and the move; no Python code runs per specialized line
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            res = certify_lower_bound(F("11.569"), 50, TAU)
+        finally:
+            sys.setprofile(None)
+        steps = len(res.certificate[2])
+        assert res.answer is True and steps > 700
+        assert calls <= 12 * steps, calls / steps
+
     def test_sub_tau_subtraction_removes_lines(self):
         # the step at t0 = 3/5045 < tau is taken because t0 equals the least
         # specialized multiplicity; it must drop the three zeroed entries
@@ -344,6 +380,16 @@ class TestDegeneration:
         for delta, s in GOLDEN_DIGEST_CASES:
             h.update(helpers.degeneration_signature(delta, s, TAU).encode() + b"\n")
         assert h.hexdigest() == GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("s", [8.0, True])
+    def test_rejects_a_line_count_that_is_not_an_int(self, s):
+        # as the walk does: a float s would otherwise answer with a start
+        # the replay rejects, and best_bound would fail inside the cubic
+        want = f"^the line count {s!r} is not an int$"
+        with pytest.raises(TypeError, match=want):
+            certify_lower_bound(F(4), s, TAU)
+        with pytest.raises(TypeError, match=want):
+            best_bound(s, TAU, TAU)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
