@@ -8,7 +8,7 @@ bounds, a Chudnovsky-type inequality, and the conjectural upper bounds e_s
 
 __version__ = "0.1.0"
 
-from .linform import LinForm, as_rational, format_linform, parse_linform
+from .linform import LinForm, as_rational, format_linform
 from .cubic import AsymptoticCubic, RootBracket, largest_root
 from .plane import (
     IterationLimitError,
@@ -55,7 +55,6 @@ __all__ = [
     "LinForm",
     "as_rational",
     "format_linform",
-    "parse_linform",
     "AsymptoticCubic",
     "RootBracket",
     "largest_root",

@@ -19,13 +19,16 @@ the steps of the Fraction reference reduction and the t0 of the integer
 kernel, after checking that the two thresholds agree (exit 1 if not).
 Reports are cached under (s, tau, grid, precision, source fingerprint).  Exit
 status is 0 when every requested check passed, 1 on violations, 2 on usage
-errors.
+errors.  One parser serves every `main` call of a process: it is built on the
+first call (not at import) and reused, while `build_parser` still returns a
+fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -341,9 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

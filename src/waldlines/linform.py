@@ -16,8 +16,7 @@ from typing import Union
 
 RationalLike = Union[Fraction, int, str]
 
-# The one rational-literal grammar: "p", "p/q" or "p.d".  The unsigned part
-# also serves as a linear-form coefficient.
+# The one rational-literal grammar: "p", "p/q" or "p.d".
 _UNSIGNED = r"\d+(?:/\d+|\.\d+)?"
 _RATIONAL_RE = re.compile(rf"[+-]?{_UNSIGNED}")
 
@@ -78,30 +77,6 @@ class LinForm:
     @classmethod
     def const(cls, x: RationalLike) -> "LinForm":
         return cls(as_rational(x), Fraction(0))
-
-
-_PURE_T_RE = re.compile(rf"(?P<sign>[+-]?)(?P<b>{_UNSIGNED})?t")
-_FULL_RE = re.compile(rf"(?P<a>[+-]?{_UNSIGNED})(?P<sign>[+-])(?P<b>{_UNSIGNED})?t")
-
-
-def parse_linform(text: str) -> LinForm:
-    """Parse "a", "bt" or "a+bt"/"a-bt" with coefficients in the grammar of
-    :func:`as_rational`.
-
-    Accepts the same grammar the trace output uses, e.g. "6-2t", "3t", "7",
-    "-8+141t", "t", "-t", "3/5045".
-    """
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty linear-form literal")
-    if "t" not in s:
-        return LinForm(as_rational(s))
-    m = _PURE_T_RE.fullmatch(s) or _FULL_RE.fullmatch(s)
-    if not m:
-        raise ValueError(f"not a linear-form literal: {text!r}")
-    a = as_rational(m.group("a")) if "a" in m.groupdict() else Fraction(0)
-    b = as_rational(m.group("b") or 1)
-    return LinForm(a, -b if m.group("sign") == "-" else b)
 
 
 def format_linform(f: LinForm) -> str:

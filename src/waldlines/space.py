@@ -81,13 +81,14 @@ def _check_line_count(s: object) -> None:
         raise TypeError(f"the line count {s!r} is not an int")
 
 
-def _read(step: int, t: object) -> Fraction:
-    """as_rational(t) for step ``step`` of a certificate, its errors naming
-    the step."""
+def _read(step: int | None, t: object) -> Fraction:
+    """as_rational(t) for step ``step`` of a certificate (None: its start
+    delta), its errors naming the step or the start."""
     try:
         return as_rational(t)
     except (TypeError, ValueError) as exc:
-        raise type(exc)(f"step {step}: {exc}") from None
+        where = "start" if step is None else f"step {step}"
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 class _State:
@@ -136,7 +137,7 @@ class _State:
         delta, s, moves = certificate
         if not moves:
             raise AssertionError("empty certificate")
-        delta = as_rational(delta)
+        delta = _read(None, delta)
         _check_line_count(s)
         if delta <= 0 or s < 1:
             raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")

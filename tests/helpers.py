@@ -1,4 +1,5 @@
-"""Shared generators and property-suite checks.
+"""Shared generators, property-suite checks and the linear-form parser that
+reads golden traces.
 
 The acceptance gate runs the same suites as the regular property tests, so
 the check bodies live here and return (ok, detail) pairs.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -39,9 +41,33 @@ from waldlines.space import (
     replay_degeneration,
 )
 from waldlines.space import step_to_json as l_step_to_json
-from waldlines.linform import LinForm, parse_linform
+from waldlines.linform import _UNSIGNED, LinForm, as_rational
 
 TAU = Fraction(1, 1000)
+
+
+_PURE_T_RE = re.compile(rf"(?P<sign>[+-]?)(?P<b>{_UNSIGNED})?t")
+_FULL_RE = re.compile(rf"(?P<a>[+-]?{_UNSIGNED})(?P<sign>[+-])(?P<b>{_UNSIGNED})?t")
+
+
+def parse_linform(text: str) -> LinForm:
+    """Parse "a", "bt" or "a+bt"/"a-bt" with coefficients in the grammar of
+    :func:`as_rational`.
+
+    Accepts the same grammar the trace output uses, e.g. "6-2t", "3t", "7",
+    "-8+141t", "t", "-t", "3/5045".
+    """
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty linear-form literal")
+    if "t" not in s:
+        return LinForm(as_rational(s))
+    m = _PURE_T_RE.fullmatch(s) or _FULL_RE.fullmatch(s)
+    if not m:
+        raise ValueError(f"not a linear-form literal: {text!r}")
+    a = as_rational(m.group("a")) if "a" in m.groupdict() else Fraction(0)
+    b = as_rational(m.group("b") or 1)
+    return LinForm(a, -b if m.group("sign") == "-" else b)
 
 
 def random_fraction(rng: random.Random, num_max: int = 40, den_max: int = 12) -> Fraction:

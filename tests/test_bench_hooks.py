@@ -6,6 +6,8 @@ import importlib.util
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from waldlines import cli, plane, space
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -16,6 +18,17 @@ def load_layers():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(autouse=True)
+def untraced_parser():
+    """Build cli.main's shared parser outside any tracer, and drop it after
+    the test: a parser built under a tracer would stay cached with its
+    parse_args recording into that tracer."""
+    cli._parser.cache_clear()
+    cli._parser()
+    yield
+    cli._parser.cache_clear()
 
 
 def test_tracer_installs_and_restores():
@@ -47,6 +60,20 @@ def test_largest_root_spans_one_per_root(tmp_path):
     assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 20
     cache = str(tmp_path / "c.json")
     assert root_spans(layers, ["bound", "5", "--no-l", "--cache", cache]) == 1
+
+
+def test_parse_spans_do_not_grow():
+    # the tracer wraps parse_args on each parser build_parser returns; the
+    # shared parser must not be re-wrapped, so every call records the same
+    # cli.parse spans (one per rational read) however many calls came before
+    layers = load_layers()
+    per_call = []
+    with layers.traced() as tracer:
+        for _ in range(5):
+            before = len(tracer.spans)
+            assert cli.main(["trace-t", "7;1,1,1,1,1;15", "--tau", "1/1000"]) == 0
+            per_call.append(sum(1 for span in tracer.spans[before:] if span[0] == "cli.parse"))
+    assert per_call == [per_call[0]] * 5 and per_call[0] > 0
 
 
 def test_trace_t_records_one_kernel_span():

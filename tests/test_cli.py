@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from waldlines import plane
+import waldlines
+from waldlines import cli, plane
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
-from waldlines.linform import as_rational, parse_linform
+from helpers import parse_linform
+from waldlines.linform import as_rational
 from waldlines.plane import SpaceSystem
 
 
@@ -287,6 +293,54 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """main parses with one parser per process, built on its first call."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        build, built = cli.build_parser, []
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        for argv in (["trace-l", "4;8"], ["trace-t", "4;;8"], ["verify", "chudnovsky", "--max-s", "20"]):
+            assert run(capsys, *argv)[0] == 0
+        assert len(built) == 1
+        assert cli.build_parser() is not cli.build_parser()  # still a fresh one each
+
+    def test_no_state_between_calls(self, capsys, tmp_path):
+        cache = str(tmp_path / "c.json")
+        _, out, _ = run(capsys, "bound", "5", "--no-l", "--cache", cache)
+        assert "| algorithm_L | - |" in out
+        _, out, _ = run(capsys, "bound", "5", "--cache", cache)
+        assert "| algorithm_L | 3.111000 |" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "5", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, err = run(capsys, "trace-l", "4;8")
+        assert (code, err) == (0, "") and out.endswith("yes\n")
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter, since this one has imported (and run) the CLI
+        script = (
+            "import argparse\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+            "import waldlines.cli as cli\n"
+            "print(len(made), cli._parser.cache_info().currsize)\n"
+        )
+        src = str(Path(waldlines.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "0 0\n"
 
 
 class TestVerify:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waldlines.linform import LinForm, as_rational, format_linform, parse_linform
+from helpers import parse_linform
+from waldlines.linform import LinForm, as_rational, format_linform
 
 
 def lf(text: str) -> LinForm:

@@ -8,7 +8,8 @@ import pytest
 
 import helpers
 from waldlines import plane
-from waldlines.linform import LinForm, parse_linform
+from helpers import parse_linform
+from waldlines.linform import LinForm
 from waldlines.plane import (
     IterationLimitError,
     Move,

@@ -155,10 +155,12 @@ NONES = {
 
 
 # name -> (certificate, expected replay result or the TypeError's message):
-# the start is read like every recorded value, and the line count is an int
+# the start delta is read like every recorded value, its errors naming the
+# start, and the line count is an int
 STARTS = {
     "float-s": ((F(4), 8.0, GOLDEN_MOVES), "the line count 8.0 is not an int"),
     "bool-s": ((F(2), True, ((SPEC, F(0)), (NO, F(0)))), "the line count True is not an int"),
+    "float-delta": ((4.0, 8, GOLDEN_MOVES), "start: cannot interpret float as a rational"),
     "string-delta": (("4", 8, GOLDEN_MOVES), (F(4), 8)),
 }
 
