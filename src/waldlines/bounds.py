@@ -29,24 +29,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Outside __all__: cli.py calls bounds.largest_root(bounds.AsymptoticCubic(s), ...).
+# Unused here, but cli.py calls bounds.largest_root(bounds.AsymptoticCubic(s), ...)
+# and the benchmark tracer rebinds bounds.largest_root, so both stay importable.
 from .cubic import AsymptoticCubic, largest_root
 from .linform import RationalLike, as_rational
 from .space import certify_lower_bound
-
-__all__ = [
-    "square_specialization_bound",
-    "sqrt_lower_bound",
-    "plane_degeneration_bound",
-    "alpha_max",
-    "chudnovsky_bound",
-    "chudnovsky_verify",
-    "small_waldschmidt",
-    "StrongBoundStatus",
-    "strong_bound_closed_form_ok",
-    "strong_sqrt_check",
-    "STRONG_BOUND_EXCEPTIONS",
-]
 
 
 def square_specialization_bound(s: int) -> int:

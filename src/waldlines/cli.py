@@ -11,8 +11,11 @@
 
 `bound` and `table` take --tau --grid --precision --cache --format --no-l;
 `trace-t` and `trace-l` take --tau --json; `verify` takes --tau (thm4),
---precision (invariants), --max-s and --range.  Rationals on the command line
+--precision (invariants), --max-s (chudnovsky, invariants) and --range (thm4),
+and checks only the flags its target reads.  Rationals on the command line
 are positive and written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
+Integers (s, line counts, --max-s, the ends of --range) are ASCII digits, with
+no sign or underscore; a malformed literal is reported with its position.
 `trace-t` reads the space system (delta; q1..qs | 1^p) as "delta;q1,...,qs;p"
 and `trace-l` the start system (delta; 1^s) as "delta;s".  `trace-t` prints
 the steps of the Fraction reference reduction and the t0 of the integer
@@ -31,7 +34,6 @@ import dataclasses
 import functools
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -66,6 +68,19 @@ def _rational_at(source: str, chunk: str, offset: int, what: str) -> Fraction:
         ) from None
 
 
+def _count_at(source: str, chunk: str, offset: int, what: str, least: int) -> int:
+    """An integer of ASCII digits, no sign or underscore, at least `least`,
+    read from `chunk`, which starts at `offset` in `source`."""
+    text = chunk.strip()
+    try:
+        if text.isascii() and text.isdigit() and (value := int(text)) >= least:
+            return value
+    except ValueError:  # more digits than int() will convert
+        pass
+    want = "a positive integer" if least == 1 else f"an integer >= {least}"
+    raise InputError(f"invalid {what} {text!r} at position {offset} in {source!r}, expected {want}")
+
+
 def parse_t_input(text: str) -> plane.SpaceSystem:
     """Parse "delta;q1,...,qs;p", the space system (delta; q1..qs | 1^p), e.g.
     "7;1,1,1,1,1;15" (the q-list may be empty: "4;;8")."""
@@ -74,23 +89,15 @@ def parse_t_input(text: str) -> plane.SpaceSystem:
         raise InputError(
             f"expected 'delta;q1,...;p' with two semicolons, got {text!r}"
         )
-    pos = 0
-    delta = _rational_at(text, parts[0], pos, "degree")
-    pos += len(parts[0]) + 1
+    delta = _rational_at(text, parts[0], 0, "degree")
+    pos = len(parts[0]) + 1
     qs: list[Fraction] = []
     if parts[1].strip():
         for chunk in parts[1].split(","):
             qs.append(_rational_at(text, chunk, pos, "multiplicity"))
             pos += len(chunk) + 1
-    else:
-        pos += len(parts[1]) + 1
-    ptext = parts[2].strip()
-    if not re.fullmatch(r"\d+", ptext):
-        raise InputError(
-            f"invalid line count {parts[2].strip()!r} at position"
-            f" {len(parts[0]) + len(parts[1]) + 2} in {text!r}"
-        )
-    return plane.SpaceSystem(delta, tuple(qs), int(ptext))
+    p = _count_at(text, parts[2], len(parts[0]) + len(parts[1]) + 2, "line count", 0)
+    return plane.SpaceSystem(delta, tuple(qs), p)
 
 
 def parse_l_input(text: str) -> tuple[Fraction, int]:
@@ -99,13 +106,7 @@ def parse_l_input(text: str) -> tuple[Fraction, int]:
     if len(parts) != 2:
         raise InputError(f"expected 'delta;s' with one semicolon, got {text!r}")
     delta = _rational_at(text, parts[0], 0, "degree")
-    stext = parts[1].strip()
-    if not re.fullmatch(r"[1-9]\d*", stext):
-        raise InputError(
-            f"invalid line count {parts[1].strip()!r} at position"
-            f" {len(parts[0]) + 1} in {text!r}"
-        )
-    return delta, int(stext)
+    return delta, _count_at(text, parts[1], len(parts[0]) + 1, "line count", 1)
 
 
 def _tau(args: argparse.Namespace) -> Fraction:
@@ -138,18 +139,14 @@ def _emit_reports(s_list: list[int], args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    if args.s < 1:
-        raise InputError("s must be a positive integer")
-    return _emit_reports([args.s], args)
+    return _emit_reports([_count_at(args.s, args.s, 0, "s", 1)], args)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    try:
-        s_list = [int(x) for x in args.s_list.split(",") if x.strip()]
-    except ValueError:
-        raise InputError(f"invalid s list {args.s_list!r}") from None
-    if not s_list or any(s < 1 for s in s_list):
-        raise InputError("s list must contain positive integers")
+    s_list, pos = [], 0
+    for chunk in args.s_list.split(","):
+        s_list.append(_count_at(args.s_list, chunk, pos, "s", 1))
+        pos += len(chunk) + 1
     return _emit_reports(s_list, args)
 
 
@@ -212,31 +209,35 @@ def cmd_trace_l(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
-    if not m:
+    ends = text.split("..")
+    if len(ends) != 2:
         raise InputError(f"invalid range {text!r}, expected 'a..b'")
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if lo < 1 or hi < lo:
+    lo = _count_at(text, ends[0], 0, "range start", 1)
+    hi = _count_at(text, ends[1], len(ends[0]) + 2, "range end", 1)
+    if hi < lo:
         raise InputError(f"invalid range {text!r}")
     return lo, hi
 
 
+def _max_s(args: argparse.Namespace) -> int:
+    return _count_at(args.max_s, args.max_s, 0, "--max-s", 1)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_s < 1:
-        raise InputError("--max-s must be a positive integer")
-    tau = _tau(args)
-    precision = _parse_rational_arg(args.precision, what="precision")
+    """Run one sweep; only the flags its target reads are parsed."""
     failures = 0
     if args.target == "chudnovsky":
-        violations = bounds.chudnovsky_verify(args.max_s)
+        max_s = _max_s(args)
+        violations = bounds.chudnovsky_verify(max_s)
         for v in violations:
             print(f"FAIL {v}")
         print(
             f"chudnovsky: {'pass' if not violations else 'FAIL'}"
-            f" (s <= {args.max_s}, {len(violations)} violations)"
+            f" (s <= {max_s}, {len(violations)} violations)"
         )
         failures = len(violations)
     elif args.target == "thm4":
+        tau = _tau(args)
         lo, hi = _parse_range(args.range)
         exceptions: list[int] = []
         for s in range(lo, hi + 1):
@@ -252,7 +253,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f" (range {lo}..{hi}, exceptions: {exceptions or 'none'})"
         )
     else:
-        failures = _verify_invariants(args.max_s, precision)
+        max_s = _max_s(args)
+        failures = _verify_invariants(max_s, _parse_rational_arg(args.precision, what="precision"))
     return 0 if failures == 0 else 1
 
 
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     traces.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bound", parents=[reports], help="all bounds for one s")
-    p.add_argument("s", type=int)
+    p.add_argument("s")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("table", parents=[reports], help="bound table for a comma-separated s list")
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[tau, precision], help="exact verification sweeps")
     p.add_argument("target", choices=("chudnovsky", "thm4", "invariants"))
-    p.add_argument("--max-s", type=int, default=1000, help="largest s (chudnovsky, invariants)")
+    p.add_argument("--max-s", default="1000", help="largest s (chudnovsky, invariants)")
     p.add_argument("--range", default="11..60", help="s range for thm4, e.g. 11..60")
     p.set_defaults(func=cmd_verify)
 

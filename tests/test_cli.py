@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -92,6 +93,79 @@ class TestRationalGrammar:
         cli_want = want if want is not None and want > 0 else None
         check(lambda x: _tau_via_cli(capsys, x), cli_want)
         check(lambda x: parse_t_input(f"{x};1;2").delta, cli_want)
+
+
+# Every reader of integer literals shares one grammar too: ASCII digits, with
+# no sign or underscore.  literal -> its value, or None when the grammar
+# rejects it; a reader that wants a positive integer also rejects 0.
+COUNTS = {
+    "10": 10,
+    "010": 10,
+    " 7 ": 7,
+    "0": 0,
+    "1_0": None,
+    "+5": None,
+    "-5": None,
+    "5.0": None,
+    "1e3": None,
+    "\u0665": None,  # ARABIC-INDIC DIGIT FIVE, which int() reads as 5
+    "": None,
+    "9" * 5000: None,  # more digits than int() converts
+}
+
+
+def _count_via_cli(capsys, argv: list[str], shown: str) -> int:
+    code, out, err = run(capsys, *argv)
+    if code != 0:
+        assert code == 2 and out == "" and err.startswith("error:"), (code, err)
+        assert "position" in err
+        raise InputError(err)
+    return int(re.search(shown, out).group(1))
+
+
+class TestCountGrammar:
+    @pytest.mark.parametrize(
+        "literal", sorted(COUNTS), ids=lambda x: x if len(x) < 9 else f"{x[0]}*{len(x)}"
+    )
+    def test_one_grammar(self, capsys, tmp_path, literal):
+        cache = ["--no-l", "--format", "csv", "--cache", str(tmp_path / "c.json")]
+        readers = {  # reader -> (least value it takes, read)
+            "trace-t p": (0, lambda x: parse_t_input(f"4;;{x}").p),
+            "trace-l s": (1, lambda x: parse_l_input(f"4;{x}")[1]),
+            "bound s": (1, lambda x: _count_via_cli(capsys, ["bound", x, *cache], r"\n(\d+),")),
+            "table s": (1, lambda x: _count_via_cli(
+                capsys, ["table", f"3,{x}", *cache], r"\n3,.*\n(\d+),")),
+            "--max-s": (1, lambda x: _count_via_cli(
+                capsys, ["verify", "chudnovsky", f"--max-s={x}"], r"s <= (\d+)")),
+            "--range start": (1, lambda x: _count_via_cli(
+                capsys, ["verify", "thm4", f"--range={x}..10"], r"range (\d+)\.\.")),
+            "--range end": (1, lambda x: _count_via_cli(
+                capsys, ["verify", "thm4", f"--range=4..{x}"], r"\.\.(\d+),")),
+        }
+        want = COUNTS[literal]
+        for name, (least, read) in readers.items():
+            if want is None or want < least:
+                with pytest.raises(InputError):
+                    read(literal)
+            else:
+                assert read(literal) == want, name
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["table", "5, x"], "'x' at position 2 in '5, x'"),
+            (["table", "5,,6"], "'' at position 2 in '5,,6'"),
+            (["bound", "1_0"], "'1_0' at position 0 in '1_0'"),
+            (["trace-t", "4;1,1;+8"], "'+8' at position 6 in '4;1,1;+8'"),
+            (["trace-l", "4;0"], "'0' at position 2 in '4;0'"),
+            (["verify", "thm4", "--range", "3.. x"], "'x' at position 3 in '3.. x'"),
+            (["verify", "invariants", "--max-s", "1_000"], "'1_000' at position 0 in '1_000'"),
+        ],
+    )
+    def test_error_names_the_position(self, capsys, argv, where):
+        code, out, err = run(capsys, *argv)  # rejected before any cache is read
+        assert (code, out) == (2, "")
+        assert where in err
 
 
 class TestTraceT:
@@ -335,12 +409,34 @@ class TestSharedParser:
             "import waldlines.cli as cli\n"
             "print(len(made), cli._parser.cache_info().currsize)\n"
         )
-        src = str(Path(waldlines.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", script], env=_fresh_env(), capture_output=True, text=True, check=True
         ).stdout
         assert out == "0 0\n"
+
+
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(waldlines.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+MODULES = sorted(p.stem for p in Path(waldlines.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    # the package imports only what its four exports need, so no module may
+    # rely on another having been imported first
+    subprocess.run([sys.executable, "-c", f"import waldlines.{module}"], env=_fresh_env(), check=True)
+
+
+def test_cli_module_runs():
+    out = subprocess.run(
+        [sys.executable, "-m", "waldlines.cli", "--version"],
+        env=_fresh_env(), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == f"waldlines {waldlines.__version__}\n"
 
 
 class TestVerify:
@@ -368,6 +464,18 @@ class TestVerify:
         assert code == 0
         assert "exceptions: [4, 7, 10]" in out
         assert out.count("ok [exact-value]") == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "chudnovsky", "--precision", "0"],
+            ["verify", "thm4", "--max-s", "0", "--range", "11..12"],
+        ],
+    )
+    def test_flags_the_target_does_not_read_are_not_checked(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert ": pass (" in out
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "thm4", "--range", "9..2")
