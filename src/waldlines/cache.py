@@ -1,8 +1,8 @@
-"""Persistent result cache: a single JSON file keyed by (s, tau, grid,
-precision, source fingerprint).
+"""Persistent cache of the search bound: one JSON file mapping (s, tau, grid,
+source fingerprint) to the value of `best_bound` as a "p/q" string.
 
 Hits are returned only on exact key matches.  The fingerprint is a digest of
-the package's own source files, so a report is reused only by the code that
+the package's own source files, so a value is reused only by the code that
 produced it, and each write drops the entries of every other fingerprint.
 Writes go through an atomic replace; concurrent writers are not coordinated
 beyond that (the CLI is the single writer in practice).
@@ -18,7 +18,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .report import BoundReport, report_from_json_dict, report_to_json_dict
+from .linform import as_rational
 
 
 @functools.cache
@@ -30,37 +30,34 @@ def source_fingerprint() -> str:
     return h.hexdigest()[:16]
 
 
-def cache_key(s: int, tau: Fraction, grid: Fraction, precision: Fraction) -> str:
-    return f"s={s};tau={tau};grid={grid};precision={precision};src={source_fingerprint()}"
+def cache_key(s: int, tau: Fraction, grid: Fraction) -> str:
+    return f"s={s};tau={tau};grid={grid};src={source_fingerprint()}"
 
 
 class ResultCache:
     def __init__(self, path: str | os.PathLike[str]):
         self.path = Path(path)
-        self._entries: dict[str, dict] = {}
-        try:  # a missing or unreadable cache, or one not an object of objects, is empty
+        self._entries: dict[str, str] = {}
+        try:  # a missing or unreadable cache, or one not an object of strings, is empty
             entries = json.loads(self.path.read_text()).get("entries", {})
-            if all(isinstance(v, dict) for v in entries.values()):
+            if all(isinstance(v, str) for v in entries.values()):
                 self._entries = entries
         except (OSError, ValueError, AttributeError):
             pass
 
-    def get(
-        self, s: int, tau: Fraction, grid: Fraction, precision: Fraction
-    ) -> BoundReport | None:
-        raw = self._entries.get(cache_key(s, tau, grid, precision))
-        try:  # an entry that is not a readable report is a miss
-            return None if raw is None else report_from_json_dict(raw)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+    def get(self, s: int, tau: Fraction, grid: Fraction) -> Fraction | None:
+        raw = self._entries.get(cache_key(s, tau, grid))
+        try:  # an entry that is not a rational literal is a miss
+            return None if raw is None else as_rational(raw)
+        except ValueError:
             return None
 
-    def put(self, report: BoundReport, tau: Fraction, grid: Fraction) -> None:
-        """Store under the report's own s and e_s precision, dropping every
-        entry written by other source code."""
+    def put(self, s: int, tau: Fraction, grid: Fraction, value: Fraction) -> None:
+        """Store `value` as "p/q", dropping every entry written by other
+        source code."""
         current = f";src={source_fingerprint()}"
         self._entries = {k: v for k, v in self._entries.items() if k.endswith(current)}
-        key = cache_key(report.s, tau, grid, report.e_precision)
-        self._entries[key] = report_to_json_dict(report)
+        self._entries[cache_key(s, tau, grid)] = str(value)
         self._save()
 
     def _save(self) -> None:

@@ -20,11 +20,12 @@ no sign or underscore; a malformed literal is reported with its position.
 and `trace-l` the start system (delta; 1^s) as "delta;s".  `trace-t` prints
 the steps of the Fraction reference reduction and the t0 of the integer
 kernel, after checking that the two thresholds agree (exit 1 if not).
-Reports are cached under (s, tau, grid, precision, source fingerprint).  Exit
-status is 0 when every requested check passed, 1 on violations, 2 on usage
-errors.  One parser serves every `main` call of a process: it is built on the
-first call (not at import) and reused, while `build_parser` still returns a
-fresh one.
+The search bound alone is cached, under (s, tau, grid, source fingerprint);
+every other report field is recomputed, and --no-l never opens the cache.
+Exit status is 0 when every requested check passed, 1 on violations, 2 on
+usage errors.  One parser serves every `main` call of a process: it is built
+on the first call (not at import) and reused, while `build_parser` still
+returns a fresh one.
 """
 
 from __future__ import annotations
@@ -114,20 +115,25 @@ def _tau(args: argparse.Namespace) -> Fraction:
 
 
 def _emit_reports(s_list: list[int], args: argparse.Namespace) -> int:
-    """Print the reports of `s_list` in args.fmt, through the result cache."""
+    """Print the reports of `s_list` in args.fmt.  Only the search bound goes
+    through the result cache, and --no-l never opens it."""
     tau = _tau(args)
     grid = _parse_rational_arg(args.grid, what="grid")
     precision = _parse_rational_arg(args.precision, what="precision")
-    cache = ResultCache(Path(args.cache) if args.cache else default_cache_path())
-    with_l = not args.no_l
+    cache = None if args.no_l else ResultCache(Path(args.cache) if args.cache else default_cache_path())
+    writable = True
     reports = []
     for s in s_list:
-        rep = cache.get(s, tau, grid, precision)
-        if rep is None or (rep.l_bound is None and with_l):
-            rep = report.build_report(s, tau, grid, precision, with_l=with_l)
-            cache.put(rep, tau, grid)
-        elif not with_l:  # a hit may hold the search bound; --no-l prints none
-            rep = dataclasses.replace(rep, l_bound=None)
+        hit = None if cache is None else cache.get(s, tau, grid)
+        rep = report.build_report(s, tau, grid, precision, with_l=cache is not None and hit is None)
+        if hit is not None:  # a cached 0 is a hit too
+            rep = dataclasses.replace(rep, l_bound=hit)
+        elif cache is not None and writable:
+            try:
+                cache.put(s, tau, grid, rep.l_bound)
+            except OSError as exc:  # the reports are still printed
+                print(f"warning: result cache not written: {exc}", file=sys.stderr)
+                writable = False
         reports.append(rep)
     if args.fmt == "json":
         print(json.dumps([report.report_to_json_dict(r) for r in reports], indent=1))

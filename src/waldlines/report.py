@@ -9,7 +9,7 @@ renderings agree numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import reference
@@ -117,20 +117,6 @@ def report_to_json_dict(r: BoundReport) -> dict:
         },
         "flags": list(r.flags),
     }
-
-
-def report_from_json_dict(d: dict) -> BoundReport:
-    return BoundReport(
-        s=d["s"],
-        chud=Fraction(d["thm_chud"]),
-        sqrt_bound=d["thm_approach1"],
-        square_bound=d["thm_approach1alg"],
-        degeneration_bound=d["thm_approach2alg"],
-        l_bound=None if d["algorithm_L"] is None else Fraction(d["algorithm_L"]),
-        e_root=RootBracket(Fraction(d["e_s"]["lo"]), Fraction(d["e_s"]["hi"])),
-        e_precision=Fraction(d["e_s"]["precision"]),
-        flags=tuple(d["flags"]),
-    )
 
 
 def _row_values(r: BoundReport) -> dict[str, str]:

@@ -353,7 +353,7 @@ def suite_trace_replay(cases: int = 1000) -> tuple[bool, str]:
     return True, f"{cases} plane reductions plus degeneration spot checks"
 
 
-def suite_small_s_exact(tau: Fraction = TAU) -> tuple[bool, str]:
+def suite_small_s_exact() -> tuple[bool, str]:
     """For s <= 5 every computed bound respects the known exact value."""
     for s in range(1, 6):
         cap = small_waldschmidt(s)

@@ -62,6 +62,21 @@ def test_largest_root_spans_one_per_root(tmp_path):
     assert root_spans(layers, ["bound", "5", "--no-l", "--cache", cache]) == 1
 
 
+def test_cache_traffic(tmp_path):
+    # --no-l never opens the result cache; a search-bound run reads it once
+    # per s and writes only on a miss
+    layers = load_layers()
+    cache = str(tmp_path / "c.json")
+    with layers.traced() as tracer:
+        assert cli.main(["table", "10,20", "--no-l", "--cache", cache]) == 0
+    assert not {span[0] for span in tracer.spans} & {"cache.get", "cache.put"}
+    with layers.traced() as tracer:
+        for _ in range(2):
+            assert cli.main(["bound", "5", "--cache", cache]) == 0
+    counters, _, _ = layers.layer_metrics(tracer.spans, {None})
+    assert (counters["cache.get.calls"], counters["cache.get.hits"], counters["cache.put.calls"]) == (2, 1, 1)
+
+
 def test_parse_spans_do_not_grow():
     # the tracer wraps parse_args on each parser build_parser returns; the
     # shared parser must not be re-wrapped, so every call records the same

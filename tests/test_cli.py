@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import waldlines
-from waldlines import cli, plane
+from waldlines import cli, plane, report
+from waldlines.cache import ResultCache, cache_key
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
 from helpers import parse_linform
@@ -17,10 +18,17 @@ from waldlines.linform import as_rational
 from waldlines.plane import SpaceSystem
 
 
+TAU = F(1, 1000)  # the default --tau, and the default --grid
+
+
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def no_search(*args):
+    raise AssertionError("best_bound called on a cache hit")
 
 
 class TestInputParsing:
@@ -256,15 +264,29 @@ class TestBoundAndTable:
         assert code == 0
         assert out.count("strong-bound-exception") == 3
 
-    def test_cache_hit_is_identical(self, capsys, tmp_path):
-        cache = str(tmp_path / "c.json")
-        _, first, _ = run(capsys, "bound", "10", "--no-l", "--format", "json", "--cache", cache)
-        _, second, _ = run(capsys, "bound", "10", "--no-l", "--format", "json", "--cache", cache)
+    def test_cache_hit_is_identical(self, capsys, tmp_path, monkeypatch):
+        # the cache holds the search bound alone; a hit is printed as the
+        # cold run was, and runs no search
+        path = tmp_path / "c.json"
+        argv = ["bound", "5", "--format", "json", "--cache", str(path)]
+        _, first, _ = run(capsys, *argv)
+        assert json.loads(path.read_text())["entries"] == {cache_key(5, TAU, TAU): "3111/1000"}
+        monkeypatch.setattr(report, "best_bound", no_search)
+        _, second, _ = run(capsys, *argv)
         assert first == second
-        assert (tmp_path / "c.json").exists()
+        assert json.loads(first)[0]["algorithm_L"] == "3111/1000"
+
+    def test_cached_zero_is_a_hit(self, capsys, tmp_path, monkeypatch):
+        # best_bound(1) is 0: no grid point above 1 is certified
+        argv = ["bound", "1", "--format", "json", "--cache", str(tmp_path / "c.json")]
+        _, first, _ = run(capsys, *argv)
+        monkeypatch.setattr(report, "best_bound", no_search)
+        _, second, _ = run(capsys, *argv)
+        assert first == second
+        assert json.loads(first)[0]["algorithm_L"] == "0"
 
     def test_no_l_hit_prints_no_search_bound(self, capsys, tmp_path):
-        # a report cached with its search bound must print as a cold --no-l run
+        # a cached search bound must not show in a --no-l run
         argv = ["bound", "7", "--no-l", "--format", "csv", "--cache"]
         _, cold, _ = run(capsys, *argv, str(tmp_path / "cold.json"))
         warm = str(tmp_path / "warm.json")
@@ -275,9 +297,39 @@ class TestBoundAndTable:
     def test_cache_env_override(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "env-cache.json"
         monkeypatch.setenv("WALDLINES_CACHE", str(target))
-        code, _, _ = run(capsys, "bound", "2", "--no-l")
+        code, _, _ = run(capsys, "bound", "2", "--grid", "1/20")
         assert code == 0
-        assert target.exists()
+        assert json.loads(target.read_text())["entries"] == {cache_key(2, TAU, F(1, 20)): "13/10"}
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_no_l_never_opens_the_cache(self, capsys, tmp_path, monkeypatch, via_env):
+        missing, garbage = tmp_path / "missing.json", tmp_path / "garbage.json"
+        garbage.write_bytes(b"{not a cache")
+        for path in (missing, garbage):
+            if via_env:
+                monkeypatch.setenv("WALDLINES_CACHE", str(path))
+            flags = [] if via_env else ["--cache", str(path)]
+            code, out, err = run(capsys, "table", "5,10", "--no-l", "--format", "csv", *flags)
+            assert (code, err) == (0, "") and out.startswith("s,")
+        assert sorted(tmp_path.iterdir()) == [garbage]
+        assert garbage.read_bytes() == b"{not a cache"
+
+    def test_failed_cache_write_keeps_the_reports(self, capsys, tmp_path, monkeypatch):
+        # a cache path under a regular file cannot be written: the run warns
+        # once, makes no second write, and prints what a writable cache gives
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        argv = ["table", "2,3", "--grid", "1/20", "--format", "csv", "--cache"]
+        _, want, _ = run(capsys, *argv, str(tmp_path / "ok.json"))
+        puts = []
+        put = ResultCache.put
+        monkeypatch.setattr(ResultCache, "put", lambda *a: puts.append(1) or put(*a))
+        code, out, err = run(capsys, *argv, str(blocker / "c.json"))
+        assert (code, out, len(puts)) == (0, want, 1)
+        assert err.startswith("warning: result cache not written: ") and err.count("\n") == 1
+        code, _, err = run(capsys, *argv, str(blocker / "c.json"), "--no-l")
+        assert (code, err) == (0, "")
+        assert blocker.read_text() == "a regular file"
 
     def test_bound_with_search(self, capsys, tmp_path):
         code, out, _ = run(
@@ -294,14 +346,18 @@ class TestBoundAndTable:
         assert code == 2
         assert "positive" in err
 
-    def test_cache_key_includes_precision(self, capsys, tmp_path):
-        cache = str(tmp_path / "c.json")
-        argv = ["bound", "10", "--no-l", "--format", "json", "--cache", cache]
+    def test_cache_key_omits_precision(self, capsys, tmp_path, monkeypatch):
+        # a bound searched at a coarse e_s precision is served at the default
+        # one, with the default-width bracket computed afresh
+        argv = ["bound", "5", "--format", "json", "--cache", str(tmp_path / "c.json")]
         _, coarse, _ = run(capsys, *argv, "--precision", "1/10")
+        monkeypatch.setattr(report, "best_bound", no_search)
         _, fine, _ = run(capsys, *argv)
         for out, width in ((coarse, F(1, 10)), (fine, F(1, 10**6))):
-            e_s = json.loads(out)[0]["e_s"]
-            assert F(e_s["hi"]) - F(e_s["lo"]) <= width
+            (entry,) = json.loads(out)
+            assert entry["algorithm_L"] == "3111/1000"
+            assert F(entry["e_s"]["hi"]) - F(entry["e_s"]["lo"]) <= width
+        assert json.loads(coarse)[0]["e_s"] != json.loads(fine)[0]["e_s"]
 
 
 # e_s brackets of `table 10,20,...,500 --no-l --format json`, as printed

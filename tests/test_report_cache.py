@@ -7,7 +7,6 @@ from waldlines.report import (
     build_report,
     decimal_places,
     decimal_str,
-    report_from_json_dict,
     report_to_json_dict,
     reports_to_csv,
     reports_to_markdown,
@@ -61,13 +60,6 @@ class TestReport:
             "strong-bound-exception" in f for f in quick_report(11).flags
         )
 
-    def test_json_round_trip_is_byte_identical(self):
-        r = quick_report(20)
-        d = report_to_json_dict(r)
-        blob = json.dumps(d, sort_keys=True)
-        again = json.dumps(report_to_json_dict(report_from_json_dict(d)), sort_keys=True)
-        assert blob == again
-
     def test_renderings_agree_numerically(self):
         reports = [quick_report(s) for s in (1, 10, 20)]
         csv_lines = reports_to_csv(reports).strip().splitlines()
@@ -92,65 +84,70 @@ class TestReport:
 
 
 class TestCache:
+    """The cache maps (s, tau, grid, source fingerprint) to the search bound
+    alone, stored as its "p/q" string."""
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
-        r = quick_report(10)
-        ResultCache(path).put(r, TAU, GRID)
-        got = ResultCache(path).get(10, TAU, GRID, EPS)
-        assert got is not None
-        assert json.dumps(report_to_json_dict(got), sort_keys=True) == json.dumps(
-            report_to_json_dict(r), sort_keys=True
-        )
+        ResultCache(path).put(10, TAU, GRID, F(4794, 1000))
+        assert ResultCache(path).get(10, TAU, GRID) == F(4794, 1000)
+        assert json.loads(path.read_text())["entries"] == {cache_key(10, TAU, GRID): "2397/500"}
+        # best_bound's 0 (no certified grid point above 1) is a value too
+        ResultCache(path).put(1, TAU, GRID, F(0))
+        assert ResultCache(path).get(1, TAU, GRID) == 0
 
     def test_exact_key_match_only(self, tmp_path):
         path = tmp_path / "cache.json"
+        ResultCache(path).put(10, TAU, GRID, F(3))
         cache = ResultCache(path)
-        cache.put(quick_report(10), TAU, GRID)
-        assert ResultCache(path).get(10, F(1, 500), GRID, EPS) is None
-        assert ResultCache(path).get(10, TAU, F(1, 500), EPS) is None
-        assert ResultCache(path).get(10, TAU, GRID, F(1, 10)) is None
-        assert ResultCache(path).get(11, TAU, GRID, EPS) is None
+        assert cache.get(10, TAU, GRID) == 3
+        assert cache.get(10, F(1, 500), GRID) is None
+        assert cache.get(10, TAU, F(1, 500)) is None
+        assert cache.get(11, TAU, GRID) is None
 
     def test_key_carries_version(self, tmp_path, monkeypatch):
         fingerprint = source_fingerprint()
         assert len(fingerprint) == 16 and set(fingerprint) <= set("0123456789abcdef")
-        assert cache_key(10, TAU, GRID, EPS) == (
-            f"s=10;tau=1/1000;grid=1/1000;precision=1/1000000;src={fingerprint}"
-        )
-        # a report cached by other source code is never served
+        assert cache_key(10, TAU, GRID) == f"s=10;tau=1/1000;grid=1/1000;src={fingerprint}"
+        # a value cached by other source code is never served
         path = tmp_path / "cache.json"
-        ResultCache(path).put(quick_report(10), TAU, GRID)
+        ResultCache(path).put(10, TAU, GRID, F(3))
         monkeypatch.setattr(cache, "source_fingerprint", lambda: "0" * 16)
-        assert ResultCache(path).get(10, TAU, GRID, EPS) is None
+        assert ResultCache(path).get(10, TAU, GRID) is None
 
     def test_put_drops_other_sources(self, tmp_path):
         path = tmp_path / "cache.json"
-        blob = report_to_json_dict(quick_report(10))
-        current = cache_key(11, TAU, GRID, EPS)
+        current = cache_key(11, TAU, GRID)
         path.write_text(json.dumps({"entries": {
-            "s=10;tau=1/1000;grid=1/1000;v=0.1.0": blob,
-            f"s=10;tau=1/1000;grid=1/1000;precision=1/1000000;src={'0' * 16}": blob,
-            current: blob,
+            "s=10;tau=1/1000;grid=1/1000;v=0.1.0": "3",
+            f"s=10;tau=1/1000;grid=1/1000;precision=1/1000000;src={'0' * 16}": "3",
+            current: "5",
         }}))
-        ResultCache(path).put(quick_report(10), TAU, GRID)
+        ResultCache(path).put(10, TAU, GRID, F(7, 2))
         entries = json.loads(path.read_text())["entries"]
-        assert sorted(entries) == sorted([current, cache_key(10, TAU, GRID, EPS)])
+        assert entries == {current: "5", cache_key(10, TAU, GRID): "7/2"}
 
     def test_unreadable_cache_is_empty(self, tmp_path):
         path = tmp_path / "cache.json"
-        # not JSON, then JSON that is not an object of objects
-        for payload in ("{not json", "[]", "null", '"x"', '{"entries": 5}'):
+        key = cache_key(10, TAU, GRID)
+        # not JSON, JSON that is not an object of strings, a report object of
+        # the former format, and one non-string entry beside a good one
+        for payload in (
+            "{not json", "[]", "null", '"x"', '{"entries": 5}', '{"entries": "3"}',
+            json.dumps({"entries": {key: {"algorithm_L": "3"}}}),
+            json.dumps({"entries": {key: "3", "other": 3}}),
+        ):
             path.write_text(payload)
-            assert ResultCache(path).get(10, TAU, GRID, EPS) is None, payload
+            assert ResultCache(path).get(10, TAU, GRID) is None, payload
 
     def test_unreadable_entry_is_a_miss(self, tmp_path, capsys):
-        # an object under the current key that is not a report is recomputed
-        # and overwritten, not served or raised on
+        # a string under the current key that is not a rational literal is
+        # searched again and overwritten, not served or raised on
         path = tmp_path / "cache.json"
-        key = cache_key(5, TAU, GRID, EPS)
-        path.write_text(json.dumps({"entries": {key: {"s": 5}}}))
-        assert ResultCache(path).get(5, TAU, GRID, EPS) is None
-        assert cli.main(["bound", "5", "--no-l", "--cache", str(path)]) == 0
-        capsys.readouterr()
-        entries = json.loads(path.read_text())["entries"]
-        assert entries[key] == report_to_json_dict(quick_report(5))
+        key = cache_key(5, TAU, GRID)
+        for bad in ("", "x", "1/0", "3,1", "nan", "3/"):
+            path.write_text(json.dumps({"entries": {key: bad}}))
+            assert ResultCache(path).get(5, TAU, GRID) is None, bad
+        assert cli.main(["bound", "5", "--format", "csv", "--cache", str(path)]) == 0
+        assert ",3.111000," in capsys.readouterr().out
+        assert json.loads(path.read_text())["entries"] == {key: "3111/1000"}
