@@ -118,13 +118,12 @@ def chudnovsky_verify(s_max: int) -> list[str]:
         raise ValueError("s_max must be positive")
     violations: list[str] = []
     for s in range(1, s_max + 1):
-        need = chudnovsky_bound(s)
-        have = sqrt_lower_bound(s)
-        if have < need:
-            have = max(have, square_specialization_bound(s), plane_degeneration_bound(s))
-            if have < need:
-                violations.append(f"s={s}: best closed-form bound {have} < {need}")
         a = alpha_max(s)
+        have = sqrt_lower_bound(s)
+        if 2 * have < a + 1:  # have < chudnovsky_bound(s), in integers
+            have = max(have, square_specialization_bound(s), plane_degeneration_bound(s))
+            if 2 * have < a + 1:
+                violations.append(f"s={s}: best closed-form bound {have} < {chudnovsky_bound(s)}")
         if a >= 10 and 8 * s - 4 < (a + 3) ** 2:
             violations.append(f"s={s}, a={a}: 8s-4 < (a+3)^2")
     return violations

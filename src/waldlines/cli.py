@@ -20,6 +20,10 @@ no sign or underscore; a malformed literal is reported with its position.
 and `trace-l` the start system (delta; 1^s) as "delta;s".  `trace-t` prints
 the steps of the Fraction reference reduction and the t0 of the integer
 kernel, after checking that the two thresholds agree (exit 1 if not).
+`trace-l` walks the certificate once and prints each state straight from
+the walk's integers (space.rendered_steps), building no Fraction per value;
+`verify invariants` compares each lower bound with the top of e_s's
+enclosure by cross-multiplying integers.
 The search bound alone is cached, under (s, tau, grid, source fingerprint);
 every other report field is recomputed, and --no-l never opens the cache.
 Exit status is 0 when every requested check passed, 1 on violations, 2 on
@@ -194,23 +198,25 @@ def cmd_trace_l(args: argparse.Namespace) -> int:
     tau = _tau(args)
     delta, s = parse_l_input(args.input)
     res = space.certify_lower_bound(delta, s, tau)
+    steps = space.rendered_steps(res)  # from the walk's integers, not res.steps
     if args.json:
         payload = {
             "delta": str(delta),
             "s": s,
             "tau": str(tau),
-            "steps": [space.step_to_json(st) for st in res.steps],
+            "steps": [st.to_json() for st in steps],
             "answer": "yes" if res.answer else "no",
         }
         print(json.dumps(payload, indent=1))
         return 0
-    print(f"start: {space.format_space_system(res.steps[0].system)}")
-    for i, st in enumerate(res.steps[1:], start=1):
-        line = f"{i:3d}. {space.format_space_system(st.system)}"
+    lines = [f"start: {next(steps).text()}"]
+    for i, st in enumerate(steps, start=1):
+        line = f"{i:3d}. {st.text()}"
         if st.t0 is not None:
             line += f"  t0={st.t0}"
-        print(line)
-    print("yes" if res.answer else "no")
+        lines.append(line)
+    lines.append("yes" if res.answer else "no")
+    print("\n".join(lines))
     return 0
 
 
@@ -286,21 +292,22 @@ def _verify_invariants(max_s: int, precision: Fraction) -> int:
             for s, a in zip(range(1, max_s + 1), am)
         ),
     )
+    # v <= hi + precision, doubled so that chudnovsky_bound(s) = (am + 1)/2
+    # is an integer too, and cross-multiplied: 2v * hd * pd <= 2(hn*pd + pn*hd)
+    pn, pd = precision.numerator, precision.denominator
     ok = True
     for s in range(1, max_s + 1):
         root = bounds.largest_root(bounds.AsymptoticCubic(s), precision)
-        top = root.hi + precision
-        if not all(
-            Fraction(v) <= top
-            for v in (sq[s - 1], rt[s - 1], dg[s - 1], bounds.chudnovsky_bound(s))
-        ):
+        hn, hd = root.hi.numerator, root.hi.denominator
+        top, den = 2 * (hn * pd + pn * hd), hd * pd
+        if not all(w * den <= top for w in (2 * sq[s - 1], 2 * rt[s - 1], 2 * dg[s - 1], am[s - 1] + 1)):
             ok = False
             break
     check("every lower bound is at most e_s", ok)
     small_ok = True
     for s in range(1, min(max_s, 5) + 1):
         cap = bounds.small_waldschmidt(s)
-        if any(Fraction(v) > cap for v in (sq[s - 1], rt[s - 1], dg[s - 1])):
+        if any(v > cap for v in (sq[s - 1], rt[s - 1], dg[s - 1])):
             small_ok = False
     check("small-s bounds respect known exact values", small_ok)
     print(f"invariants: {'pass' if failures == 0 else 'FAIL'} (s <= {max_s})")

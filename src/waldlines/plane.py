@@ -309,9 +309,10 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     and scaling it uniformly changes no comparison and no root.  q_min is
     compared by cross-multiplying.  The three forms of the associated
     system are built inline from these integers, and the result is made
-    with tuple.__new__: outside the per-move loop a call runs no Python
-    code but as_rational, tau's two parts, scaled(), _terminal_t0 and t0's
-    Fraction.  A form a + b*t is held as its value v = a*td + b*tn at
+    with tuple.__new__: outside the per-move loop a call from the loop runs
+    no Python code but tau's as_integer_ratio, scaled(), _terminal_t0 and
+    t0's Fraction (tau goes through as_rational only when it is not a
+    Fraction).  A form a + b*t is held as its value v = a*td + b*tn at
     tau = tn/td and its constant a: these determine
     b = (v - a*td)/tn, and ordering by (v, a) is normalize's order by
     (value, a, b).  The groups stay in normalized order: a move changes at
@@ -323,8 +324,9 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     units, with no multiplication by tau; the constant ka of k is formed
     only when a Cremona move is taken.
     """
-    tau = as_rational(tau)
-    tn, td = tau.numerator, tau.denominator
+    if not isinstance(tau, Fraction):  # the loop and the replay pass a Fraction
+        tau = as_rational(tau)
+    tn, td = tau.as_integer_ratio()
     if tn <= 0:  # a Fraction has its numerator's sign
         raise ValueError("tau must be positive")
     D, delta, q, q_min = inp.scaled()

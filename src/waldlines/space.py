@@ -22,20 +22,23 @@ equals the least specialized multiplicity: such a step removes at least one
 specialized line, so termination is preserved, and the worked traces this
 code reproduces take exactly these sub-tau steps.
 
-The loop does not build its states.  The loop, replay_degeneration and
-DegenerationResult.steps all advance one private state, which keeps what the
-plane reduction reads as integers at one common scale D, reduced after every
-subtraction.  The loop applies the moves it picks through the state's
-arithmetic directly, since its own branch already implies what a move
-needs (a positive t0 and degree, a general line left); the two walks over a
-certificate go through the state's move method, which rejects any move the
-state cannot take.  Per step the loop compares t0 with tau and q_min on
-numerators and denominators, and the only Fraction it makes is t0 itself,
-which the kernel returns in lowest terms.  The loop records a compact certificate, the start
-(delta, s) and one (move, t0) pair per step; a DegenerationResult is the
-answer and that certificate.  The replay re-derives the threshold at every
-subtraction and checks the exit without building a SpaceSystem; only .steps,
-on first read, materializes the states as Fractions.
+The loop does not build its states.  The loop, replay_degeneration,
+rendered_steps and DegenerationResult.steps all advance one private state,
+which keeps what the plane reduction reads as integers at one common scale
+D, reduced after every subtraction.  The loop applies the moves it picks
+through the state's arithmetic directly, since its own branch already
+implies what a move needs (a positive t0 and degree, a general line left);
+the walks over a certificate go through the state's move method, which
+rejects any move the state cannot take.  Per step the loop compares t0 with
+tau and q_min on numerators and denominators, and the only Fraction it
+makes is t0 itself, which the kernel returns in lowest terms.  The loop
+records a compact certificate, the start (delta, s) and one (move, t0) pair
+per step; a DegenerationResult is the answer and that certificate.  The
+replay re-derives the threshold at every subtraction and checks the exit
+without building a SpaceSystem.  rendered_steps, which trace-l prints,
+writes each state's values straight from its integers, each reduced by one
+gcd into the text str(Fraction) gives; only .steps, on first read,
+materializes the states as Fractions, and stays as the renderer's oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mul
+from typing import NamedTuple
 
 from .cubic import AsymptoticCubic, largest_root
 from .linform import RationalLike, as_rational
@@ -262,7 +266,7 @@ def certify_lower_bound(
             moves.append((LMove.TERMINATE_YES, None))
             return DegenerationResult(True, (delta, s, tuple(moves)))
         t0 = quadric_threshold(state, tau).t0
-        n, d = t0.numerator, t0.denominator
+        n, d = t0.as_integer_ratio()
         # the moves need no check: past the exit the degree is positive, a
         # subtraction has t0 >= tau > 0 or t0 = q_min > 0, and the branch
         # order gives a specialization p > 0
@@ -339,25 +343,54 @@ def best_bound(
     return delta if delta > 1 else Fraction(0)
 
 
+class RenderedStep(NamedTuple):
+    """A step as trace-l prints it: delta, the q_j and t0 as the text
+    str(Fraction) gives (t0 None where the exit fired first), p and the
+    move.  text() is the system's layout and to_json() the step's JSON
+    object; the two are the only place either is written."""
+
+    delta: str
+    specialized: list[str]
+    p: int
+    t0: str | None = None
+    move: LMove | None = None
+
+    @classmethod
+    def of(cls, system: SpaceSystem, t0: Fraction | None = None, move: LMove | None = None) -> RenderedStep:
+        return cls(str(system.delta), [str(q) for q in system.specialized], system.p,
+                   None if t0 is None else str(t0), move)
+
+    def text(self) -> str:
+        """The system's one-line layout (see format_space_system)."""
+        spec = ",".join(self.specialized) + " " if self.specialized else ""
+        gen = "" if self.p == 0 else "1" if self.p == 1 else f"1^{self.p}"
+        return f"({self.delta}; {spec}| {gen})"
+
+    def to_json(self) -> dict:
+        return {"delta": self.delta, "specialized": self.specialized, "p": self.p,
+                "t0": self.t0, "move": self.move.value}
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, from one gcd and no Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def rendered_steps(result: DegenerationResult) -> Iterator[RenderedStep]:
+    """RenderedStep.of(step.system, step.t0, step.move) for each step of
+    ``result.steps``, written from the walk's integers: no SpaceSystem,
+    DegenerationStep or Fraction is built, and .steps is not read."""
+    for _, state, move, t in _State.walk(result.certificate):
+        D, total = state.D, state.total
+        yield RenderedStep(_ratio(state.deg, D), [_ratio(e - total, D) for e in state.ends],
+                           state.p, None if t is None else str(t), move)
+
+
 def format_space_system(sys: SpaceSystem) -> str:
     """One-line rendering, e.g. "(10096/5045; 3/5045,3/5045,3/5045 | 1^5)"."""
-    spec = ",".join(str(q) for q in sys.specialized)
-    if spec:
-        spec += " "
-    if sys.p == 0:
-        gen = ""
-    elif sys.p == 1:
-        gen = "1"
-    else:
-        gen = f"1^{sys.p}"
-    return f"({sys.delta}; {spec}| {gen})"
+    return RenderedStep.of(sys).text()
 
 
 def step_to_json(step: DegenerationStep) -> dict:
-    return {
-        "delta": str(step.system.delta),
-        "specialized": [str(q) for q in step.system.specialized],
-        "p": step.system.p,
-        "t0": None if step.t0 is None else str(step.t0),
-        "move": step.move.value,
-    }
+    return RenderedStep.of(step.system, step.t0, step.move).to_json()

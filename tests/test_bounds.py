@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 
+from waldlines import bounds
 from waldlines.bounds import (
     STRONG_BOUND_EXCEPTIONS,
     alpha_max,
@@ -135,6 +136,27 @@ class TestChudnovsky:
 
     def test_verify_matches_the_double_loop(self):
         assert chudnovsky_verify(3000) == helpers.reference_chudnovsky_verify(3000)
+
+    def test_violation_messages_match_the_oracle(self, monkeypatch):
+        # the best closed form set to (a + 1) // 2 for a = alpha_max(s), less
+        # one where 3 divides s: for odd a that is (a + 1)/2 itself, a pass at
+        # the boundary, or one below it; for even a, 1/2 below.  The sqrt
+        # bound falls short everywhere, so the other two decide.
+        def weak(s: int) -> int:
+            return (alpha_max(s) + 1) // 2 - (s % 3 == 0)
+
+        def weaker(s: int) -> int:
+            return weak(s) - 1
+
+        for name, bound in (("sqrt_lower_bound", weaker), ("square_specialization_bound", weak),
+                            ("plane_degeneration_bound", weak)):
+            monkeypatch.setattr(bounds, name, bound)
+            monkeypatch.setattr(helpers, name, bound)
+        got = chudnovsky_verify(300)
+        assert got == helpers.reference_chudnovsky_verify(300)
+        assert "s=10: best closed-form bound 3 < 7/2" in got  # a = 6
+        assert "s=12: best closed-form bound 3 < 4" in got  # a = 7
+        assert not any(v.startswith("s=14:") for v in got)  # a = 7, have = 4
 
     def test_s2_needs_square_bound(self):
         assert sqrt_lower_bound(2) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import waldlines
-from waldlines import cli, plane, report
+from waldlines import bounds, cli, plane, report, space
 from waldlines.cache import ResultCache, cache_key
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
+from waldlines.cubic import AsymptoticCubic, largest_root
 from helpers import parse_linform
 from waldlines.linform import as_rational
 from waldlines.plane import SpaceSystem
@@ -233,6 +235,21 @@ class TestTraceL:
         code, out, _ = run(capsys, "trace-l", "10;2")
         assert code == 0
         assert out.strip().splitlines()[-1] == "no"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["7.069;20"], ["7.069;20", "--json"], ["10;2", "--tau", "1/100"], ["10;2", "--json"]],
+    )
+    def test_never_reads_the_steps(self, capsys, monkeypatch, argv):
+        # trace-l prints from the walk's integers: with .steps raising, it
+        # prints the same bytes
+        want = run(capsys, "trace-l", *argv)
+
+        def no_steps(self):
+            raise AssertionError("trace-l read DegenerationResult.steps")
+
+        monkeypatch.setattr(space.DegenerationResult, "steps", property(no_steps))
+        assert run(capsys, "trace-l", *argv) == want
 
 
 class TestBoundAndTable:
@@ -495,6 +512,28 @@ def test_cli_module_runs():
     assert out == f"waldlines {waldlines.__version__}\n"
 
 
+# sha256 of "exit <code>\n<stdout>\0<stderr>" for each command, recorded
+# before trace-l and the verify sweeps stopped building Fractions: a change to
+# any of these outputs, byte for byte, has to update this table on purpose.
+OUTPUT_DIGESTS = {
+    "trace-l 4;8": "688ebb1ee8412ee5ed01bf8bc259b9f618532465fd0ed52867ceaf7f9fc0a476",
+    "trace-l 4;8 --json": "d6d3d36245e049bcd7e7f0752ca179a9475e0631e13e755a6db9df88cd0f252f",
+    "trace-l 7.069;20": "ab82d534f02d2a2f443b737526e1eae20be4318bfd3797ce234baf1bccb0473c",
+    "trace-l 7.069;20 --json": "45c847a1c67b850dcfeeafe11f009c62444f8539bbc3cbddcc136db67ce2ad60",
+    "trace-l 11.569;50": "156efd3dc002b51a5c15d6470a94dbc981ab59b134aad3e91beea94436eee78c",
+    "trace-l 11.569;50 --json": "ec9ac7f951e5ccabc9dc93b1dce32ca632f7e171bd0d1b2b743cb67260128162",
+    "verify chudnovsky --max-s 1000": "6cf2a0e3025574024d2f027869bb118c2ddb2adf2572c375ea3a415979d13f0f",
+    "verify invariants --max-s 200": "b8b6ec0dc63e45c57fdd9db59aba87a2866b3c4393f48c5265b99d924aed38f9",
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_DIGESTS)
+def test_output_digest(capsys, command):
+    code, out, err = run(capsys, *command.split(" "))
+    digest = hashlib.sha256(f"exit {code}\n{out}\0{err}".encode()).hexdigest()
+    assert digest == OUTPUT_DIGESTS[command]
+
+
 class TestVerify:
     def test_chudnovsky_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "chudnovsky", "--max-s", "200")
@@ -505,6 +544,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "invariants", "--max-s", "60")
         assert code == 0
         assert out.count("pass") >= 5
+
+    @pytest.mark.parametrize("above, mark, code", [(0, "pass", 0), (F(1, 10**40), "FAIL", 1)])
+    def test_invariants_bound_at_the_enclosure_top(self, capsys, monkeypatch, above, mark, code):
+        # a lower bound may reach the top of e_s's enclosure, root.hi +
+        # precision, and no further
+        s, precision = 20, F(1, 1000)
+        top = largest_root(AsymptoticCubic(s), precision).hi + precision
+        closed_form = bounds.plane_degeneration_bound
+        monkeypatch.setattr(
+            bounds, "plane_degeneration_bound", lambda n: top + above if n == s else closed_form(n)
+        )
+        got = run(capsys, "verify", "invariants", "--max-s", str(s), "--precision", str(precision))
+        assert got[0] == code
+        assert f"{mark}  every lower bound is at most e_s" in got[1].splitlines()
+        assert got[1].count("FAIL") == 2 * code  # the check's line and the summary
 
     def test_thm4_small_range(self, capsys):
         code, out, _ = run(capsys, "verify", "thm4", "--range", "11..14")

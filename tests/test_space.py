@@ -19,7 +19,9 @@ from waldlines.space import (
     best_bound,
     certify_lower_bound,
     format_space_system,
+    rendered_steps,
     replay_degeneration,
+    step_to_json,
 )
 
 TAU = F(1, 1000)
@@ -315,15 +317,16 @@ class TestDegeneration:
         kernel_calls = len(res.certificate[2]) - 1  # all but the final "yes"
         assert res.answer is True and kernel_calls > 700
         assert calls.pop("__new__") == kernel_calls
-        arithmetic = {name: n for name, n in calls.items() if name not in ("numerator", "denominator")}
+        reads = ("numerator", "denominator", "as_integer_ratio")  # a Fraction's two parts
+        arithmetic = {name: n for name, n in calls.items() if name not in reads}
         # once per run: the argument checks delta <= 0 and tau <= 0
         assert sum(arithmetic.values()) <= 4, arithmetic
 
     def test_loop_call_budget(self):
         # the loop applies its own moves and the kernel builds its forms and
-        # its result inline: per step, exit_yes, the kernel (as_rational,
-        # tau's two parts, scaled(), _terminal_t0, Fraction.__new__), t0's
-        # two parts and the move; no Python code runs per specialized line
+        # its result inline: per step, exit_yes, the kernel (tau's
+        # as_integer_ratio, scaled(), _terminal_t0, Fraction.__new__), t0's
+        # as_integer_ratio and the move; no Python code runs per specialized line
         calls = 0
 
         def profile(frame, event, arg):
@@ -337,7 +340,9 @@ class TestDegeneration:
             sys.setprofile(None)
         steps = len(res.certificate[2])
         assert res.answer is True and steps > 700
-        assert calls <= 12 * steps, calls / steps
+        # 8 calls a step, and a fixed 37 a run (the argument checks, the
+        # first state and the result)
+        assert calls <= 8 * steps + 40, (calls, steps)
 
     def test_sub_tau_subtraction_removes_lines(self):
         # the step at t0 = 3/5045 < tau is taken because t0 equals the least
@@ -461,7 +466,31 @@ class TestBestBound:
             assert certify_lower_bound(delta, s, TAU).answer is (delta <= value), delta
 
 
+# (delta, s, tau) for the renderer's oracle: "yes" and "no" answers, s up
+# to 50, both taus, and states with no general line left (p = 0) and one (p = 1)
+RENDER_CASES = [
+    (delta, s, tau)
+    for delta, s in ((F(4), 8), (F(10), 2), (F(3), 5), (PINNED_BEST[10], 10),
+                     (PINNED_BEST[20], 20), (PINNED_BEST[50], 50), (F("11.570"), 50))
+    for tau in (F(1, 1000), F(1, 100))
+]
+
+
 class TestFormat:
+    @pytest.mark.parametrize("delta, s, tau", RENDER_CASES)
+    def test_rendered_steps_match_the_steps(self, delta, s, tau):
+        # rendered from the walk's integers, each step must print as its
+        # materialized state does
+        res = certify_lower_bound(delta, s, tau)
+        got = [(st.text(), st.to_json()) for st in rendered_steps(res)]
+        assert got == [(format_space_system(st.system), step_to_json(st)) for st in res.steps]
+
+    def test_render_cases_cover(self):
+        results = [certify_lower_bound(delta, s, tau) for delta, s, tau in RENDER_CASES]
+        assert {res.answer for res in results} == {True, False}
+        ps = {st.p for res in results for st in rendered_steps(res)}
+        assert {0, 1} <= ps
+
     def test_empty_specialized(self):
         assert format_space_system(SpaceSystem(F(4), (), 8)) == "(4; | 1^8)"
 
