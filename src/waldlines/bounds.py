@@ -5,11 +5,15 @@ constant of s very general lines in P^3:
 
   * square_specialization_bound: put k^2 of the lines onto k planes (k lines
     each); any q with (q - k)^2 <= s - k^2 for some 1 <= k <= sqrt(s) is a
-    lower bound.
+    lower bound.  The largest is the largest m with
+    floor(m/2)^2 + ceil(m/2)^2 <= s, found with one isqrt.
   * sqrt_lower_bound: the closed form floor(sqrt(2s - 1)), always admissible
     for the previous condition.
   * plane_degeneration_bound: put k lines onto each of q planes; any q with
-    q*k <= s and (q - k)^2 <= s - k is a lower bound.
+    q*k <= s and (q - k)^2 <= s - k is a lower bound.  The largest sits where
+    k + isqrt(s - k), which never decreases in k, crosses s // k, which never
+    increases, and is found by bisecting for that crossing in O(log s)
+    isqrt calls.
 
 A condition count caps the initial degree alpha(s) of the ideal of the lines
 by (alpha + 2)(alpha + 1) <= 6s, and the Chudnovsky-type inequality
@@ -37,14 +41,18 @@ from .space import certify_lower_bound
 
 
 def square_specialization_bound(s: int) -> int:
-    """Largest q such that (q - k)^2 <= s - k^2 for some 1 <= k <= sqrt(s)."""
+    """Largest q such that (q - k)^2 <= s - k^2 for some 1 <= k <= sqrt(s).
+
+    That is the largest m with floor(m/2)^2 + ceil(m/2)^2 <= s.  For a given
+    q the least k^2 + (q - k)^2 over integers k is at k = ceil(q/2), which is
+    >= 1 and has k^2 <= s whenever the sum is <= s; and the sum grows with q.
+    With a = isqrt(s // 2), the largest a with 2a^2 <= s, the answer is 2a
+    or, when 2a^2 + 2a + 1 = a^2 + (a + 1)^2 <= s, 2a + 1.
+    """
     if s < 1:
         raise ValueError("s must be positive")
-    best = 1
-    for k in range(1, math.isqrt(s) + 1):
-        q = k + math.isqrt(s - k * k)
-        best = max(best, q)
-    return best
+    a = math.isqrt(s // 2)
+    return 2 * a + (2 * a * (a + 1) < s)
 
 
 def sqrt_lower_bound(s: int) -> int:
@@ -58,15 +66,26 @@ def plane_degeneration_bound(s: int) -> int:
     """Largest q such that q*k <= s and (q - k)^2 <= s - k for some k >= 0.
 
     Any maximizing pair has k <= sqrt(s) (larger k forces q <= sqrt(s),
-    already achieved at k = 0), so the search space is small.
+    already achieved at k = 0).  With A(k) = k + isqrt(s - k) and
+    B(k) = s // k, the largest q is A(0) = isqrt(s) for k = 0 and
+    min(A(k), B(k)) for 1 <= k <= K = isqrt(s).  A never decreases (from k
+    to k + 1, isqrt(s - k) drops by at most 1) and B never increases.  So
+    with k* the least k >= 1 with A(k) >= B(k), or K + 1 if there is none,
+    the minimum is A left of k* and B from k* on, and the answer is the
+    larger of A(k* - 1) and B(k*): A(k* - 1) >= A(0) covers k = 0, and for
+    k* = K + 1, B(K + 1) <= K = A(0) since s < (K + 1)^2.  k* is found by
+    bisection.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    best = math.isqrt(s)  # k = 0
-    for k in range(1, math.isqrt(s) + 1):
-        q = min(k + math.isqrt(s - k), s // k)
-        best = max(best, q)
-    return best
+    lo, hi = 1, math.isqrt(s) + 1
+    while lo < hi:
+        k = (lo + hi) // 2
+        if k + math.isqrt(s - k) >= s // k:
+            hi = k
+        else:
+            lo = k + 1
+    return max(lo - 1 + math.isqrt(s - lo + 1), s // lo)
 
 
 def alpha_max(s: int) -> int:

@@ -16,6 +16,8 @@ and checks only the flags its target reads.  Rationals on the command line
 are positive and written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
 Integers (s, line counts, --max-s, the ends of --range) are ASCII digits, with
 no sign or underscore; a malformed literal is reported with its position.
+An argument that starts with "-" and a digit or "." is read as a value, so
+`--range -5..10` reaches the range's own check, as `--range=-5..10` does.
 `trace-t` reads the space system (delta; q1..qs | 1^p) as "delta;q1,...,qs;p"
 and `trace-l` the start system (delta; 1^s) as "delta;s".  `trace-t` prints
 the steps of the Fraction reference reduction and the t0 of the integer
@@ -39,6 +41,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -314,8 +317,23 @@ def _verify_invariants(max_s: int, precision: Fraction) -> int:
     return failures
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads an argument starting with "-" and a digit
+    or "." (`-5..10`, `-1/2`) as a value, so that `--range -5..10` reaches
+    the range's own check as `--range=-5..10` does.  argparse decides this
+    with the pattern `_negative_number_matcher`, which by default accepts
+    only plain negative numbers and so takes `-5..10` for an unknown option.
+    No option here starts with "-" and a digit, and subparsers are built with
+    this class too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="waldlines",
         description="Certified lower bounds for Waldschmidt constants of very general lines in P^3.",
     )

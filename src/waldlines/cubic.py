@@ -3,11 +3,14 @@
 The largest real root of t^3 - 3st + 2s is the conjectural value e_s of the
 Waldschmidt constant of s very general lines for s large; the 2k correction
 accounts for k simple intersection points between the lines.  Roots are
-isolated by exact integer bisection on the dyadic grid: every point tested is
-an integer m at a scale 2^e, and the cubic's sign there is that of the
-integer 8^e * cubic(m/2^e).  It returns the same brackets as the rational
-bisection it replaced; Fractions are built only for the returned bracket, and
-a decimal only when the result is rendered.
+isolated on the dyadic grid in exact integers: every point tested is an
+integer m at a scale 2^e, and the cubic's sign there is that of the integer
+8^e * cubic(m/2^e).  The result is the bracket that halving the sign-change
+bracket until it is narrower than the precision ends on, the same as that of
+the rational bisection this replaced; it is computed from floor(root * 2^E)
+by integer Newton steps, in O(log log 1/precision) steps near a simple root
+rather than O(log 1/precision) halvings.  Fractions are built only for the
+returned bracket, and a decimal only when the result is rendered.
 
 On [1, oo) such a cubic decreases to its minimum at sqrt(s) and then
 increases, so it has at most one root on the increasing branch and the
@@ -61,27 +64,39 @@ class RootBracket:
 
 
 def _bisect(s: int, c: int, lo: int, hi: int, e: int, precision: Fraction) -> RootBracket:
-    """Shrink the sign-change bracket [lo/2^e, hi/2^e] (cubic negative at lo,
-    positive at hi) below ``precision``, returning an exact bracket if a
-    midpoint hits the root.  ``c`` is the constant term 2s + 2k.
+    """The bracket that halving [lo/2^e, hi/2^e] (cubic negative at lo,
+    positive at hi) until it is narrower than ``precision`` ends on.  ``c``
+    is the constant term 2s + 2k; the bracket holds one root, right of sqrt(s).
 
-    The midpoint of two points at scale 2^e is lo + hi at scale 2^(e+1), and
-    8^e * cubic(m/2^e) = m^3 - 3s*m*4^e + c*8^e; the width test
-    (hi - lo)/2^e >= precision is cross-multiplied the same way.
+    Halving keeps hi - lo = d at each new scale, so after n halvings, at
+    scale E = e + n, the bracket is [L + i*d, L + (i + 1)*d] with L = lo*2^n:
+    the one of the 2^n equal parts of [lo, hi] that holds the root.  No
+    halving point is the root: a monic integer cubic has only integer
+    rational roots, and largest_root returns those without calling this.  So
+    with M = floor(root * 2^E), i = (M - L) // d.  Halving goes on while
+    d/2^E >= precision = num/den, i.e. while 2^E <= d*den // num, so E is
+    e or the bit length of d*den // num, whichever is larger.
+
+    M comes from Newton steps on P(m) = 8^E * cubic(m/2^E)
+    = m^3 - 3s*m*4^E + c*8^E, started at hi*2^n.  Right of sqrt(s) the cubic
+    is convex and increasing, so each real Newton step from m > root lands
+    in [root, m), and taking the floor of the step P(m)/P'(m) keeps m above
+    the irrational root.  The three roots r are real (the minimum is
+    negative), so P/P' = 1/sum(1/(m - r)) >= (m - root)/3: once the floored
+    step is 0, m - root < 3, and at most two unit steps reach M + 1.
     """
-    num, den = precision.numerator, precision.denominator
-    while (hi - lo) * den >= num << e:
-        mid = lo + hi
-        e += 1
-        v = mid * mid * mid - ((3 * s * mid) << (2 * e)) + (c << (3 * e))
-        if v == 0:
-            x = Fraction(mid, 1 << e)
-            return RootBracket(x, x)
-        if v < 0:
-            lo, hi = mid, hi << 1
-        else:
-            lo, hi = lo << 1, mid
-    return RootBracket(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
+    d = hi - lo
+    n = max(0, (d * precision.denominator // precision.numerator).bit_length() - e)
+    e += n
+    a, b = (3 * s) << (2 * e), c << (3 * e)
+    m = hi << n
+    while (step := (m * (m * m - a) + b) // (3 * m * m - a)) > 0:
+        m -= step
+    while (m - 1) * ((m - 1) * (m - 1) - a) + b > 0:
+        m -= 1
+    lo <<= n
+    lo += (m - 1 - lo) // d * d  # m - 1 = M
+    return RootBracket(Fraction(lo, 1 << e), Fraction(lo + d, 1 << e))
 
 
 def _bisect_right_of_dip(s: int, c: int, lo: int, hi: int, precision: Fraction) -> RootBracket:

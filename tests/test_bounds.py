@@ -33,24 +33,45 @@ DEGENERATION_ROW = (4, 6, 10, 15, 22, 27, 31, 35)
 CLOSED_FORM_N0 = 685
 
 
-def brute_square_bound(s: int) -> int:
-    best = 1
-    for k in range(1, math.isqrt(s) + 1):
-        for q in range(1, 2 * math.isqrt(s) + 3):
-            if (q - k) ** 2 <= s - k * k:
-                best = max(best, q)
+# The brute-force oracles try every pair (k, q) once, at the least s it is
+# admissible for, and take running maxima over s.  q <= 2*sqrt(s) + 2 for
+# every admissible pair of either condition, so the q range is complete.
+BRUTE_S_MAX = 10_000
+
+
+def _running_max(least_s_of_pairs, s_max: int) -> list[int]:
+    """best[s] for 0 <= s <= s_max: the largest q of a pair (least_s, q) with
+    least_s <= s, and at least 1."""
+    best = [1] * (s_max + 1)
+    for least_s, q in least_s_of_pairs:
+        if least_s <= s_max:
+            best[least_s] = max(best[least_s], q)
+    for s in range(1, s_max + 1):
+        best[s] = max(best[s], best[s - 1])
     return best
 
 
-def brute_degeneration_bound(s: int) -> int:
-    best = 1
-    for k in range(0, s + 1):
-        if s - k < 0:
-            break
-        for q in range(1, 2 * math.isqrt(s) + 3):
-            if q * k <= s and (q - k) ** 2 <= s - k:
-                best = max(best, q)
-    return best
+def brute_square_bounds(s_max: int) -> list[int]:
+    # 1 <= k <= sqrt(s) and (q - k)^2 <= s - k^2: from s = k^2 + (q - k)^2 on
+    q_max = 2 * math.isqrt(s_max) + 2
+    return _running_max(
+        ((k * k + (q - k) ** 2, q) for k in range(1, math.isqrt(s_max) + 1) for q in range(1, q_max + 1)),
+        s_max,
+    )
+
+
+def brute_degeneration_bounds(s_max: int) -> list[int]:
+    # q*k <= s and (q - k)^2 <= s - k: from s = max(q*k, (q - k)^2 + k) on;
+    # the q loop stops where q*k alone passes s_max
+    q_max = 2 * math.isqrt(s_max) + 2
+    return _running_max(
+        (
+            (max(q * k, (q - k) ** 2 + k), q)
+            for k in range(0, s_max + 1)
+            for q in range(1, min(q_max, s_max // max(k, 1)) + 1)
+        ),
+        s_max,
+    )
 
 
 def brute_alpha_max(s: int) -> int:
@@ -69,8 +90,9 @@ class TestSquareSpecialization:
         assert square_specialization_bound(1) == 1
 
     def test_against_brute_force(self):
-        for s in range(1, 250):
-            assert square_specialization_bound(s) == brute_square_bound(s)
+        brute = brute_square_bounds(BRUTE_S_MAX)
+        for s in range(1, BRUTE_S_MAX + 1):
+            assert square_specialization_bound(s) == brute[s], s
 
 
 class TestSqrtBound:
@@ -97,8 +119,9 @@ class TestPlaneDegeneration:
         assert plane_degeneration_bound(1) == 1
 
     def test_against_brute_force(self):
-        for s in range(1, 250):
-            assert plane_degeneration_bound(s) == brute_degeneration_bound(s)
+        brute = brute_degeneration_bounds(BRUTE_S_MAX)
+        for s in range(1, BRUTE_S_MAX + 1):
+            assert plane_degeneration_bound(s) == brute[s], s
 
 
 class TestAlphaMax:

@@ -178,6 +178,23 @@ class TestCountGrammar:
         assert where in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "thm4", "--range", "-5..10"], "invalid range start '-5' at position 0 in '-5..10'"),
+        (["bound", "3", "--tau", "-1/2"], "tau must be positive, got '-1/2'"),
+        (["trace-l", "4;8", "--tau", "-.5"], "invalid tau: not a rational literal: '-.5'"),
+    ],
+)
+def test_dash_value_as_a_separate_argument(capsys, argv, message):
+    # a flag value starting with "-" reaches its own check whether it is
+    # attached with "=" or given as the next argument
+    attached = run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+    separate = run(capsys, *argv)
+    assert separate == attached
+    assert separate[:2] == (2, "") and separate[2].startswith(f"error: {message}")
+
+
 class TestTraceT:
     def test_golden_trace_text(self, capsys):
         code, out, _ = run(capsys, "trace-t", "7;1,1,1,1,1;15")
@@ -524,6 +541,11 @@ OUTPUT_DIGESTS = {
     "trace-l 11.569;50 --json": "ec9ac7f951e5ccabc9dc93b1dce32ca632f7e171bd0d1b2b743cb67260128162",
     "verify chudnovsky --max-s 1000": "6cf2a0e3025574024d2f027869bb118c2ddb2adf2572c375ea3a415979d13f0f",
     "verify invariants --max-s 200": "b8b6ec0dc63e45c57fdd9db59aba87a2866b3c4393f48c5265b99d924aed38f9",
+    # recorded before the e_s brackets came from Newton steps and the
+    # square-specialization and plane-degeneration bounds from closed forms
+    "verify invariants --max-s 5000": "c2fdb32f83e752a0b07b9061a661ee7ebb6dfb35f1a127d2e33219da8bbf7573",
+    "table 10,50,100,200,500 --no-l --precision 1/10000000000000000000000000000000000000000 --format json":
+        "0b3e3bfbc9d6e1e35a279d3746cddbc02452faf14d076660185882c48e506bc6",
 }
 
 

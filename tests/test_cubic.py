@@ -77,6 +77,12 @@ class TestLargestRoot:
                 for precision in PRECISIONS:
                     assert_matches_oracle(s, k, precision)
 
+    def test_matches_the_fraction_oracle_at_high_precision(self):
+        # about 133 halvings of a unit bracket, all replaced by Newton steps
+        for s in range(1, 61):
+            for k in (0, 1, s):
+                assert_matches_oracle(s, k, F(1, 10**40))
+
     def test_matches_the_oracle_on_every_branch(self):
         for s, k in NO_ROOT:
             assert largest_root(AsymptoticCubic(s, k), EPS) is None
