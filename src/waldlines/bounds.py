@@ -20,8 +20,9 @@ by (alpha + 2)(alpha + 1) <= 6s, and the Chudnovsky-type inequality
 alphahat >= (alpha + 1)/2 follows from the bounds above; chudnovsky_verify
 checks the whole inequality chain exactly.  The strong bound
 floor(sqrt(2.5 s)) holds for every s except 4, 7 and 10: by the known exact
-values for s <= 5, by an exact integer check for s >= 490 (proved to pass for
-every s >= 685) and by running the degeneration loop in between.
+values for s <= 5, and for every s >= 6 by plane_degeneration_bound wherever
+it reaches the bound (proved for every s >= 685), by the degeneration loop
+at the 47 s where it falls short.
 
 Everything here is exact integer/rational arithmetic; the only approximate
 quantity anywhere is the rendered decimal of a cubic root.
@@ -150,22 +151,33 @@ def chudnovsky_verify(s_max: int) -> list[str]:
 
 STRONG_BOUND_EXCEPTIONS = frozenset({4, 7, 10})
 
-_CLOSED_FORM_MIN_S = 490
-
 
 @dataclass(frozen=True)
 class StrongBoundStatus:
     holds: bool
-    method: str  # "exact-value" | "closed-form" | "algorithm-L" | "known-exception"
+    # "exact-value" (s <= 5), "known-exception" (4, 7, 10), or for s >= 6
+    # "closed-form" (plane_degeneration_bound) or "algorithm-L" (the loop)
+    method: str
 
 
-def strong_bound_closed_form_ok(s: int) -> bool:
-    """Exact check of the plane-degeneration conditions at q = floor(sqrt(2.5s)),
-    k = floor(sqrt(0.4s)).
+def strong_sqrt_check(s: int, tau: RationalLike) -> StrongBoundStatus:
+    """Is the bound floor(sqrt(2.5 s)) certified for this s?
 
-    Both conditions hold for every s >= N0 = 685, so on the closed-form
-    range s >= 490 only 490..684 rest on this check (the tests run it on
-    each of them).  The proof:
+    s = 4, 7 and 10 are the known exceptions (for s = 4 the bound is simply
+    false; for 7 and 10 it is open).  The other s <= 5 are decided by their
+    exact constants, which the loop, certifying only strict separations,
+    does not reach.  Every s >= 6 follows one rule: with delta =
+    floor(sqrt(2.5 s)) = isqrt(5s // 2), the closed form decides when
+    plane_degeneration_bound(s) >= delta, and otherwise the degeneration
+    loop at delta does.  Both are proved lower bounds, so the rule is sound
+    for every s; a False answer from the loop means "not certified by this
+    method", not a disproof.
+
+    The closed form decides every s >= 685, so the loop runs on finitely
+    many s; the tests find exactly 47 besides the exceptions, all <= 411.
+    Proof: for s >= 685 the pair q = isqrt(5s // 2) = delta,
+    k = isqrt(2s // 5) meets q*k <= s and (q - k)^2 <= s - k, so
+    plane_degeneration_bound(s) >= delta.
 
       * q*k <= s for every s, since q <= sqrt(2.5s) and k <= sqrt(0.4s).
       * (q - k)^2 <= s - k.  Here 0 <= k <= q <= sqrt(2.5s), k <= sqrt(0.4s),
@@ -188,21 +200,6 @@ def strong_bound_closed_form_ok(s: int) -> bool:
         give h(685) > 0 > h(684) (h is about 0.038 and -0.013 there), so
         h(s) >= 0, and the condition holds, for every s >= 685.
     """
-    q = math.isqrt(5 * s // 2)
-    k = math.isqrt(2 * s // 5)
-    return q * k <= s and (q - k) ** 2 <= s - k
-
-
-def strong_sqrt_check(s: int, tau: RationalLike) -> StrongBoundStatus:
-    """Is the bound floor(sqrt(2.5 s)) certified for this s?
-
-    s = 4, 7 and 10 are the known exceptions (for s = 4 the bound is simply
-    false; for 7 and 10 it is open).  The other s <= 5 are decided by their
-    exact constants (which the loop, certifying only strict separations, does
-    not reach), s >= 490 by the closed-form conditions, and the rest by the
-    degeneration loop at delta = floor(sqrt(2.5s)).  A False answer from the
-    loop means "not certified by this method", not a disproof.
-    """
     if s < 1:
         raise ValueError("s must be positive")
     if s in STRONG_BOUND_EXCEPTIONS:
@@ -210,7 +207,7 @@ def strong_sqrt_check(s: int, tau: RationalLike) -> StrongBoundStatus:
     delta = math.isqrt(5 * s // 2)
     if s <= 5:
         return StrongBoundStatus(small_waldschmidt(s) >= delta, "exact-value")
-    if s >= _CLOSED_FORM_MIN_S:
-        return StrongBoundStatus(strong_bound_closed_form_ok(s), "closed-form")
+    if plane_degeneration_bound(s) >= delta:
+        return StrongBoundStatus(True, "closed-form")
     answer = certify_lower_bound(delta, s, as_rational(tau)).answer
     return StrongBoundStatus(answer, "algorithm-L")

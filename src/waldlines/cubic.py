@@ -52,15 +52,8 @@ class RootBracket:
     hi: Fraction
 
     @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def _bisect(s: int, c: int, lo: int, hi: int, e: int, precision: Fraction) -> RootBracket:

@@ -355,13 +355,9 @@ class RenderedStep(NamedTuple):
     t0: str | None = None
     move: LMove | None = None
 
-    @classmethod
-    def of(cls, system: SpaceSystem, t0: Fraction | None = None, move: LMove | None = None) -> RenderedStep:
-        return cls(str(system.delta), [str(q) for q in system.specialized], system.p,
-                   None if t0 is None else str(t0), move)
-
     def text(self) -> str:
-        """The system's one-line layout (see format_space_system)."""
+        """The system's one-line layout, e.g.
+        "(10096/5045; 3/5045,3/5045,3/5045 | 1^5)"."""
         spec = ",".join(self.specialized) + " " if self.specialized else ""
         gen = "" if self.p == 0 else "1" if self.p == 1 else f"1^{self.p}"
         return f"({self.delta}; {spec}| {gen})"
@@ -378,19 +374,12 @@ def _ratio(n: int, d: int) -> str:
 
 
 def rendered_steps(result: DegenerationResult) -> Iterator[RenderedStep]:
-    """RenderedStep.of(step.system, step.t0, step.move) for each step of
-    ``result.steps``, written from the walk's integers: no SpaceSystem,
-    DegenerationStep or Fraction is built, and .steps is not read."""
+    """Each step of ``result.steps`` as trace-l prints it: the state's delta
+    and q_j, with the step's t0 and move, written from the walk's integers.
+    No SpaceSystem, DegenerationStep or Fraction is built, and .steps is not
+    read."""
     for _, state, move, t in _State.walk(result.certificate):
         D, total = state.D, state.total
         yield RenderedStep(_ratio(state.deg, D), [_ratio(e - total, D) for e in state.ends],
                            state.p, None if t is None else str(t), move)
 
-
-def format_space_system(sys: SpaceSystem) -> str:
-    """One-line rendering, e.g. "(10096/5045; 3/5045,3/5045,3/5045 | 1^5)"."""
-    return RenderedStep.of(sys).text()
-
-
-def step_to_json(step: DegenerationStep) -> dict:
-    return RenderedStep.of(step.system, step.t0, step.move).to_json()

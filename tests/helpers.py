@@ -1,5 +1,5 @@
-"""Shared generators, property-suite checks and the linear-form parser that
-reads golden traces.
+"""Shared generators, property-suite checks, the linear-form parser that
+reads golden traces and the Fraction renderer of degeneration states.
 
 The acceptance gate runs the same suites as the regular property tests, so
 the check bodies live here and return (ok, detail) pairs.
@@ -35,12 +35,13 @@ from waldlines.plane import (
 )
 from waldlines.space import (
     DegenerationResult,
+    DegenerationStep,
     LMove,
+    RenderedStep,
     _State,
     certify_lower_bound,
     replay_degeneration,
 )
-from waldlines.space import step_to_json as l_step_to_json
 from waldlines.linform import _UNSIGNED, LinForm, as_rational
 
 TAU = Fraction(1, 1000)
@@ -135,6 +136,22 @@ def reduction_signature(inp: SpaceSystem, tau: Fraction) -> str:
         {"t0": str(t0), "moves": [cremona, merge], "steps": [step_to_json(s) for s in steps]},
         sort_keys=True,
     )
+
+
+def rendered_step(system: SpaceSystem, t0: Fraction | None = None, move: LMove | None = None) -> RenderedStep:
+    """The oracle for space.rendered_steps: a materialized state, with its
+    step's t0 and move, rendered through str(Fraction)."""
+    return RenderedStep(str(system.delta), [str(q) for q in system.specialized], system.p,
+                        None if t0 is None else str(t0), move)
+
+
+def format_space_system(system: SpaceSystem) -> str:
+    """One-line rendering, e.g. "(10096/5045; 3/5045,3/5045,3/5045 | 1^5)"."""
+    return rendered_step(system).text()
+
+
+def l_step_to_json(step: DegenerationStep) -> dict:
+    return rendered_step(step.system, step.t0, step.move).to_json()
 
 
 def degeneration_signature(delta: Fraction, s: int, tau: Fraction) -> str:

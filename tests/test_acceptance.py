@@ -10,6 +10,7 @@ import time
 from fractions import Fraction as F
 
 import helpers
+from helpers import format_space_system
 from waldlines.bounds import (
     alpha_max,
     chudnovsky_bound,
@@ -18,13 +19,12 @@ from waldlines.bounds import (
     small_waldschmidt,
     sqrt_lower_bound,
     square_specialization_bound,
-    strong_bound_closed_form_ok,
     strong_sqrt_check,
 )
 from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import SpaceSystem, format_system, quadric_threshold, reference_reduction
 from waldlines.report import build_report
-from waldlines.space import LMove, best_bound, certify_lower_bound, format_space_system
+from waldlines.space import LMove, best_bound, certify_lower_bound
 from test_plane import GOLDEN_REDUCTION
 from test_space import GOLDEN_DEGENERATION, PINNED_BEST
 
@@ -161,16 +161,31 @@ def test_c6_search_bound_quality():
     )
 
 
+# The s in 6..60, past the exceptions 7 and 10, where plane_degeneration_bound
+# falls short of floor(sqrt(2.5 s)).
+LOOP_S = (15, 16, 17, 20, 26, 27, 33, 34, 35, 49, 50, 51, 52, 58, 59)
+
+
 def test_c7_strong_bound_verification():
+    # the loop is the oracle: it certifies every s in 6..60 but the
+    # exceptions, including the s the closed form decides
     ok = True
-    for s in range(11, 61):
+    loop_s = []
+    for s in range(6, 61):
+        if s in (7, 10):
+            continue
+        ok = ok and certify_lower_bound(math.isqrt(5 * s // 2), s, TAU).answer
         status = strong_sqrt_check(s, TAU)
-        ok = ok and status.holds and status.method == "algorithm-L"
-    ok = ok and all(strong_bound_closed_form_ok(s) for s in (490, 491, 1000))
+        ok = ok and status.holds
+        if status.method == "algorithm-L":
+            loop_s.append(s)
+    ok = ok and tuple(loop_s) == LOOP_S
+    ok = ok and all(strong_sqrt_check(s, TAU).method == "closed-form" for s in (490, 491, 1000))
     status4 = strong_sqrt_check(4, TAU)
     ok = ok and not status4.holds and status4.method == "known-exception"
     ok = ok and small_waldschmidt(4) ** 2 < 10  # (8/3)^2 = 64/9 < 2.5 * 4
-    check("C7", ok, "s in 11..60 certified; closed form at 490/491/1000; s=4 exception")
+    check("C7", ok, f"s in 6..60 certified by the loop, {len(LOOP_S)} of them left to it; "
+          "closed form at 490/491/1000; s=4 exception")
 
 
 def test_c8_property_suites():

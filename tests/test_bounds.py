@@ -15,7 +15,6 @@ from waldlines.bounds import (
     small_waldschmidt,
     sqrt_lower_bound,
     square_specialization_bound,
-    strong_bound_closed_form_ok,
     strong_sqrt_check,
 )
 
@@ -28,9 +27,18 @@ SQUARE_ROW = (4, 6, 10, 14, 20, 24, 28, 31)
 DEGENERATION_ROW = (4, 6, 10, 15, 22, 27, 31, 35)
 
 
-# From the strong_bound_closed_form_ok docstring: its conditions are proved
-# for every s from here on.
+# From the strong_sqrt_check docstring: plane_degeneration_bound(s) reaches
+# floor(sqrt(2.5 s)) for every s from here on.
 CLOSED_FORM_N0 = 685
+
+# Every s in 6..100,000 where plane_degeneration_bound(s) < floor(sqrt(2.5 s)):
+# the known exceptions 7 and 10, and the s that strong_sqrt_check leaves to
+# the degeneration loop.
+PLANE_SHORT = (
+    7, 10, 15, 16, 17, 20, 26, 27, 33, 34, 35, 49, 50, 51, 52, 58, 59, 68,
+    79, 80, 81, 82, 83, 103, 104, 105, 116, 117, 118, 145, 146, 147, 148, 149, 150,
+    194, 195, 196, 197, 231, 232, 233, 292, 293, 294, 295, 296, 410, 411,
+)
 
 
 # The brute-force oracles try every pair (k, q) once, at the least s it is
@@ -208,16 +216,19 @@ class TestStrongBound:
         assert small_waldschmidt(4) ** 2 < 10
 
     def test_closed_form_threshold(self):
-        assert strong_bound_closed_form_ok(490)
-        assert strong_bound_closed_form_ok(491)
-        assert strong_bound_closed_form_ok(1000)
+        for s in (490, 491, 1000):
+            assert plane_degeneration_bound(s) >= math.isqrt(5 * s // 2)
         status = strong_sqrt_check(490, TAU)
         assert status.holds and status.method == "closed-form"
 
     def test_closed_form_below_the_proved_range(self):
-        # the docstring proves the conditions for every s >= 685; the rest of
-        # the closed-form range, checked exhaustively
-        assert all(strong_bound_closed_form_ok(s) for s in range(490, CLOSED_FORM_N0))
+        # the docstring proves the closed form for every s >= 685; the s
+        # below it down to 490, checked exhaustively
+        assert all(plane_degeneration_bound(s) >= math.isqrt(5 * s // 2) for s in range(490, CLOSED_FORM_N0))
+
+    def test_where_the_closed_form_falls_short(self):
+        short = [s for s in range(6, 100_001) if plane_degeneration_bound(s) < math.isqrt(5 * s // 2)]
+        assert short == list(PLANE_SHORT)
 
     def test_closed_form_proof_threshold(self):
         # the docstring's h(s) = s - sqrt(0.4s) - (sqrt(2.5s) - sqrt(0.4s - 0.8) + 1)^2
@@ -238,9 +249,9 @@ class TestStrongBound:
         assert h_bounds(CLOSED_FORM_N0 - 1)[1] < 0
 
     def test_degeneration_route(self):
-        status = strong_sqrt_check(40, TAU)
+        status = strong_sqrt_check(15, TAU)
         assert status.holds and status.method == "algorithm-L"
-        assert math.isqrt(5 * 40 // 2) == 10
+        assert math.isqrt(5 * 15 // 2) == 6 > plane_degeneration_bound(15)
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):

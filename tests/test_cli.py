@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -596,6 +597,18 @@ class TestVerify:
         assert code == 0
         assert "exceptions: [4, 7, 10]" in out
         assert out.count("ok [exact-value]") == 4
+
+    def test_thm4_verdicts_and_methods(self, capsys):
+        # with the " [method]" suffixes stripped, the output is what the loop
+        # alone gave on every s >= 6 (digest recorded then); the methods show
+        # which s the closed form decides
+        code, out, err = run(capsys, "verify", "thm4", "--range", "1..60")
+        suffix = re.compile(r" \[([a-zA-Z-]+)\]$", re.M)
+        stripped = suffix.sub("", out)
+        digest = hashlib.sha256(f"exit {code}\n{stripped}\0{err}".encode()).hexdigest()
+        assert digest == "4eaade83d9aaed128f2edb12972755f8d454d30e4e52445857cb0da3e5d4f8ff"
+        methods = Counter(suffix.findall(out))
+        assert methods == {"exact-value": 4, "known-exception": 3, "algorithm-L": 15, "closed-form": 38}
 
     @pytest.mark.parametrize(
         "argv",

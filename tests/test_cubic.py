@@ -19,7 +19,7 @@ RIGHT_OF_DIP = ZERO_LEFT_OF_DIP + NO_INTEGER_SIGN_CHANGE
 
 
 def bracket(root):
-    return None if root is None else (root.lo, root.hi, root.is_exact)
+    return None if root is None else (root.lo, root.hi)
 
 
 def assert_matches_oracle(s: int, k: int, precision: F) -> None:
@@ -38,17 +38,17 @@ class TestLargestRoot:
     def test_exact_double_root_at_one(self):
         # t^3 - 3t + 2 = (t - 1)^2 (t + 2)
         root = largest_root(AsymptoticCubic(1), EPS)
-        assert root.is_exact and root.lo == 1
+        assert root.lo == root.hi == 1
 
     def test_exact_root_at_two(self):
         # t^3 - 6t + 4 = (t - 2)(t^2 + 2t - 2)
         root = largest_root(AsymptoticCubic(2), EPS)
-        assert root.is_exact and root.lo == 2
+        assert root.lo == root.hi == 2
 
     def test_exact_double_root_with_correction(self):
         # t^3 - 12t + 16 = (t - 2)^2 (t + 4)
         root = largest_root(AsymptoticCubic(4, 4), EPS)
-        assert root.is_exact and root.lo == 2
+        assert root.lo == root.hi == 2
 
     def test_no_root_above_one(self):
         # t^3 - 6t + 6 only vanishes near -2.85
@@ -64,8 +64,8 @@ class TestLargestRoot:
             if root is None:
                 assert (s, k) not in RIGHT_OF_DIP
                 continue
-            assert root.width() < EPS
-            if root.is_exact:
+            assert root.hi - root.lo < EPS
+            if root.lo == root.hi:
                 assert cubic(root.lo) == 0
             else:
                 assert cubic(root.lo) < 0 < cubic(root.hi)
@@ -88,7 +88,7 @@ class TestLargestRoot:
             assert largest_root(AsymptoticCubic(s, k), EPS) is None
         for s, k in EXACT_MINIMUM + INTEGER_ROOT:
             root = largest_root(AsymptoticCubic(s, k), EPS)
-            assert root.is_exact and root.lo.denominator == 1
+            assert root.lo == root.hi and root.lo.denominator == 1
         for s, k in NO_ROOT + EXACT_MINIMUM + INTEGER_ROOT + RIGHT_OF_DIP:
             for precision in PRECISIONS:
                 assert_matches_oracle(s, k, precision)

@@ -46,7 +46,7 @@ class TestReport:
         r = quick_report(1)
         assert (r.sqrt_bound, r.square_bound, r.degeneration_bound) == (1, 1, 1)
         assert r.chud == 1
-        assert r.e_root.is_exact and r.e_root.lo == 1
+        assert r.e_root.lo == r.e_root.hi == 1
 
     def test_s20_discrepancy_flag(self):
         r = quick_report(20)

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import helpers
+from helpers import format_space_system, l_step_to_json
 from waldlines import plane, space
 from waldlines.cubic import AsymptoticCubic, largest_root
 from waldlines.plane import associate_system, quadric_threshold, reference_reduction
@@ -18,10 +19,8 @@ from waldlines.space import (
     SpaceSystem,
     best_bound,
     certify_lower_bound,
-    format_space_system,
     rendered_steps,
     replay_degeneration,
-    step_to_json,
 )
 
 TAU = F(1, 1000)
@@ -483,7 +482,7 @@ class TestFormat:
         # materialized state does
         res = certify_lower_bound(delta, s, tau)
         got = [(st.text(), st.to_json()) for st in rendered_steps(res)]
-        assert got == [(format_space_system(st.system), step_to_json(st)) for st in res.steps]
+        assert got == [(format_space_system(st.system), l_step_to_json(st)) for st in res.steps]
 
     def test_render_cases_cover(self):
         results = [certify_lower_bound(delta, s, tau) for delta, s, tau in RENDER_CASES]
