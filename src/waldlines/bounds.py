@@ -133,6 +133,19 @@ def chudnovsky_verify(s_max: int) -> list[str]:
     (a + 3)^2 grows with a, a = alpha_max(s) decides the second check.
     Returns a list of violation descriptions; empty means the chain holds
     everywhere.
+
+    Past s = 19 neither check can fail, so an empty sweep with s_max >= 19
+    proves the chain for every s.  With a = alpha_max(s):
+
+      * for s >= 20 the sqrt bound alone suffices, 2*isqrt(2s - 1) >= a + 1.
+        From (2a + 3)^2 <= 24s + 1, a + 1 <= (sqrt(24s + 1) - 1)/2, and
+        isqrt(2s - 1) > sqrt(2s - 1) - 1, so it is enough that
+        4 sqrt(2s - 1) - 3 >= sqrt(24s + 1).  Squaring, this is
+        s - 1 >= 3 sqrt(2s - 1), i.e. (s - 1)^2 >= 9(2s - 1), i.e.
+        s^2 - 20s + 10 >= 0, which holds for s >= 20 (and fails at 19);
+      * for a >= 10, 6s >= (a + 2)(a + 1) gives 8s - 4 >= (a + 3)^2, since
+        4(a + 2)(a + 1)/3 - 4 - (a + 3)^2 = (a^2 - 6a - 31)/3 >= 0 for
+        a >= 10.
     """
     if s_max < 1:
         raise ValueError("s_max must be positive")

@@ -16,13 +16,13 @@ Both moves preserve semi-effectivity, so if the terminal degree a + b*t is
 forced negative on a t-range the original system is stably empty there.  The
 input is a space system (delta; q_1..q_s | 1^p) and the returned threshold t0
 encodes that range: its restriction-to-quadric system is stably empty for all
-rational 0 <= t < t0.  The reduction reads the q_j only through three
-aggregates, their count, sum and least value, and reads delta, the sum and
-the least value as integers at a common scale D (SystemAggregates.scaled): a
-SpaceSystem computes them from its multiplicities with D the lcm of the
-denominators of delta and the sum, and the degeneration loop in space.py
-holds them at its own reduced scale and keeps them up to date with no
-Python code per specialized line.
+rational 0 <= t < t0.  Both reductions below read a space system only
+through p, q_count and one scaled() call (SystemAggregates), so the q_j
+only through their count, sum and least value, and delta, the sum and the
+least value as integers at a common scale D: a SpaceSystem computes them
+from its multiplicities with D the lcm of the denominators of delta and the
+sum, and the degeneration loop in space.py holds them at its own reduced
+scale and keeps them up to date with no Python code per specialized line.
 
 The reduction has two implementations.  quadric_threshold, the one every
 caller of t0 uses, runs on integers and returns t0 with the numbers of
@@ -121,37 +121,25 @@ class SpaceSystem:
     def q_count(self) -> int:
         return len(self.specialized)
 
-    @property
-    def q_sum(self) -> Fraction:
-        return sum(self.specialized, Fraction(0))
-
-    @property
-    def q_min(self) -> Fraction | None:
-        return min(self.specialized, default=None)
-
     def scaled(self) -> tuple[int, int, int, tuple[int, int] | None]:
-        delta, q, q_min = self.delta, self.q_sum, self.q_min
+        delta, q = self.delta, sum(self.specialized, Fraction(0))
         D = math.lcm(delta.denominator, q.denominator)
+        q_min = min(self.specialized, default=None)
         return (D, delta.numerator * (D // delta.denominator), q.numerator * (D // q.denominator),
-                None if q_min is None else (q_min.numerator, q_min.denominator))
+                None if q_min is None else q_min.as_integer_ratio())
 
 
 class SystemAggregates(Protocol):
-    """What the plane reduction reads of a space system (a SpaceSystem or the
-    degeneration loop's state); q_min is None when no line is specialized.
-
-    The integer kernel reads only p, q_count and scaled(), which gives
+    """What both plane reductions read of a space system (a SpaceSystem or
+    the degeneration loop's state): p, q_count and scaled(), which gives
     (D, D*delta, D*q_sum, q_min) for a positive integer D that makes both
-    products integers, with q_min as a pair (numerator, positive
-    denominator) or None.  A SpaceSystem takes D = lcm(den delta, den q_sum);
-    the loop's state holds its values at such a scale.  delta, q_sum and
-    q_min as Fractions serve the reference reduction and error messages."""
+    products integers, with q_min, the least q_j, as a pair (numerator,
+    positive denominator), or None when no line is specialized.  A
+    SpaceSystem takes D = lcm(den delta, den q_sum); the loop's state holds
+    its values at such a scale."""
 
-    delta: Fraction
     p: int
     q_count: int
-    q_sum: Fraction
-    q_min: Fraction | None
 
     def scaled(self) -> tuple[int, int, int, tuple[int, int] | None]: ...
 
@@ -178,18 +166,20 @@ class ThresholdResult(NamedTuple):
     steps: tuple[ReductionStep, ...] = ()
 
 
-def associate_system(inp: SystemAggregates) -> PlaneSystem:
+def associate_system(inp: SystemAggregates, scaled: tuple | None = None) -> PlaneSystem:
     """The t-parametrized plane system attached to (delta; q_1..q_s | 1^p).
 
     Restriction to a smooth quadric carrying the s specialized lines in one
     ruling, with the quadric subtracted t times, gives on the plane
     L2(2*delta - q + (s-4)t; delta - 2t, delta - q + (s-2)t, 1^(2p))
-    where q is the sum of the q_j.
+    where q is the sum of the q_j.  ``scaled`` is inp.scaled() when the
+    caller already holds it.
     """
-    q, s = inp.q_sum, inp.q_count
-    degree = LinForm(2 * inp.delta - q, Fraction(s - 4))
-    m1 = LinForm(inp.delta, Fraction(-2))
-    m2 = LinForm(inp.delta - q, Fraction(s - 2))
+    D, delta, q, _ = inp.scaled() if scaled is None else scaled
+    s = inp.q_count
+    degree = LinForm(Fraction(2 * delta - q, D), Fraction(s - 4))
+    m1 = LinForm(Fraction(delta, D), Fraction(-2))
+    m2 = LinForm(Fraction(delta - q, D), Fraction(s - 2))
     groups = [(m1, 1), (m2, 1)]
     if inp.p > 0:
         groups.append((LinForm.const(1), 2 * inp.p))
@@ -272,7 +262,7 @@ MAX_STEPS = 1_000_000
 def _terminal_t0(a: int | Fraction, b: int | Fraction, q_min: tuple[int, int] | None) -> Fraction:
     """The threshold formula of :func:`quadric_threshold` for the terminal
     degree a + b*t, which may be given at any positive scale, and q_min as
-    a pair (numerator, positive denominator)."""
+    scaled() gives it."""
     if a >= 0:
         return Fraction(0)
     if q_min is not None:
@@ -422,8 +412,8 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
             merges += 1
     else:
         raise IterationLimitError(
-            f"plane reduction exceeded {MAX_STEPS} steps for delta={inp.delta}, p={inp.p}, "
-            f"q_count={inp.q_count}, q_sum={inp.q_sum}, q_min={inp.q_min} at tau={tau}"
+            f"plane reduction exceeded {MAX_STEPS} steps for delta={Fraction(delta, D)}, p={p}, "
+            f"q_count={s}, q_sum={Fraction(q, D)}, q_min={q_min and Fraction(*q_min)} at tau={tau}"
         )
     t0 = _terminal_t0(deg_a, (deg_v - deg_a * td) // tn, q_min)
     return tuple.__new__(ThresholdResult, (t0, cremonas, merges, ()))
@@ -436,9 +426,10 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
     kernel, whose t0 and move counts must equal these, and the only
     reduction that records its steps (``trace-t`` renders them)."""
     tau = as_rational(tau)
-    if inp.delta <= 0:
+    scaled = inp.scaled()
+    if scaled[1] <= 0:
         raise ValueError("the plane reduction needs a positive degree")
-    sys = normalize(associate_system(inp), tau)
+    sys = normalize(associate_system(inp, scaled), tau)
     steps: list[ReductionStep] = []
     while True:
         k = cremona_k(sys)
@@ -450,9 +441,7 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
         steps.append(ReductionStep(sys, k, move))
         if nxt is None:
             moves = Counter(step.move for step in steps)
-            q_min = inp.q_min
-            q_min = None if q_min is None else (q_min.numerator, q_min.denominator)
-            t0 = _terminal_t0(sys.degree.a, sys.degree.b, q_min)
+            t0 = _terminal_t0(sys.degree.a, sys.degree.b, scaled[3])
             return ThresholdResult(t0, moves[Move.CREMONA], moves[Move.MERGE], tuple(steps))
         sys = nxt
 

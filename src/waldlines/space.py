@@ -38,7 +38,8 @@ replay re-derives the threshold at every subtraction and checks the exit
 without building a SpaceSystem.  rendered_steps, which trace-l prints,
 writes each state's values straight from its integers, each reduced by one
 gcd into the text str(Fraction) gives; only .steps, on first read,
-materializes the states as Fractions, and stays as the renderer's oracle.
+materializes the states as Fractions.  It stays because
+perfbench/layers.py::_degeneration_info and the tests read it.
 """
 
 from __future__ import annotations
@@ -109,23 +110,11 @@ class _State:
     T and the ends times D.  A subtraction whose denominator does not divide
     D multiplies all of them by the missing factor, and every subtraction
     then divides them by their common gcd, so D stays their least common
-    denominator.  delta, q_sum and q_min are read back as Fractions."""
+    denominator."""
 
     def __init__(self, delta: Fraction, s: int) -> None:
         self.D, self.deg, self.p = delta.denominator, delta.numerator, s
         self.q_count, self.qsum, self.total, self.ends = 0, 0, 0, deque()
-
-    @property
-    def delta(self) -> Fraction:
-        return Fraction(self.deg, self.D)
-
-    @property
-    def q_sum(self) -> Fraction:
-        return Fraction(self.qsum, self.D)
-
-    @property
-    def q_min(self) -> Fraction | None:
-        return Fraction(self.ends[0] - self.total, self.D) if self.ends else None
 
     def scaled(self) -> tuple[int, int, int, tuple[int, int] | None]:
         return self.D, self.deg, self.qsum, (self.ends[0] - self.total, self.D) if self.ends else None
@@ -137,16 +126,27 @@ class _State:
     @classmethod
     def walk(cls, certificate: Certificate, tau: Fraction | None = None) -> Iterator[tuple]:
         """Yield (step, state, move, t) on arrival at each step of the
-        certificate, then take the move; ``tau`` as in :meth:`move`."""
-        delta, s, moves = certificate
+        certificate, then take the move; ``tau`` as in :meth:`move`.  A
+        certificate or a step of the wrong shape is an AssertionError naming
+        the start or the step."""
+        try:
+            delta, s, moves = certificate
+        except (TypeError, ValueError):
+            raise AssertionError("start: a certificate is a triple (delta, s, moves)") from None
+        if not isinstance(moves, tuple | list):
+            raise AssertionError(f"start: the moves {moves!r} are not a tuple or list")
         if not moves:
-            raise AssertionError("empty certificate")
+            raise AssertionError("start: empty certificate")
         delta = _read(None, delta)
         _check_line_count(s)
         if delta <= 0 or s < 1:
             raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")
         state = cls(delta, s)
-        for i, (move, t) in enumerate(moves):
+        for i, entry in enumerate(moves):
+            try:
+                move, t = entry
+            except (TypeError, ValueError):
+                raise AssertionError(f"step {i}: {entry!r} is not a pair (move, t)") from None
             yield i, state, move, t
             state.move(i, move, t, final=i == len(moves) - 1, tau=tau)
 
@@ -166,7 +166,7 @@ class _State:
         if move is LMove.SUBTRACT:
             t = None if t is None else _read(step, t)
             if t is None or t.numerator <= 0 or self.deg <= 0:  # a Fraction's sign
-                raise AssertionError(f"step {step}: subtraction of {t} from degree {self.delta}")
+                raise AssertionError(f"step {step}: subtraction of {t} from degree {_ratio(self.deg, self.D)}")
             if tau is not None:
                 t0 = quadric_threshold(self, tau).t0
                 if t.numerator * t0.denominator > t0.numerator * t.denominator:
@@ -352,8 +352,8 @@ class RenderedStep(NamedTuple):
     delta: str
     specialized: list[str]
     p: int
-    t0: str | None = None
-    move: LMove | None = None
+    t0: str | None
+    move: LMove
 
     def text(self) -> str:
         """The system's one-line layout, e.g.

@@ -26,6 +26,7 @@ from waldlines.cubic import AsymptoticCubic, RootBracket, largest_root
 from waldlines.plane import (
     PlaneSystem,
     SpaceSystem,
+    SystemAggregates,
     ThresholdResult,
     apply_cremona,
     normalize,
@@ -184,6 +185,14 @@ def explicit_exit(sys: SpaceSystem) -> bool:
     return sys.delta <= 0 or (sys.delta < 1 and sys.p >= 1) or any(sys.delta < q for q in sys.specialized)
 
 
+def aggregates(system: SystemAggregates) -> tuple:
+    """What the plane reductions read of ``system``, read through scaled()
+    and made independent of its scale: p, q_count, and delta, the sum and
+    the least value of the q_j as Fractions."""
+    D, delta, q, q_min = system.scaled()
+    return system.p, system.q_count, Fraction(delta, D), Fraction(q, D), q_min and Fraction(*q_min)
+
+
 def check_walk_against_explicit_states(res: DegenerationResult) -> None:
     """Assert that the shared walk of ``res.certificate`` agrees with
     :func:`explicit_states` at every step: the materialized system, the
@@ -193,8 +202,7 @@ def check_walk_against_explicit_states(res: DegenerationResult) -> None:
     for n, ((i, state, _, _), want) in enumerate(walk, start=1):
         assert math.gcd(state.D, state.deg, state.qsum, state.total, *state.ends) == 1, i
         assert state.system() == want, i
-        got = (state.delta, state.p, state.q_count, state.q_sum, state.q_min)
-        assert got == (want.delta, want.p, want.q_count, want.q_sum, want.q_min), i
+        assert aggregates(state) == aggregates(want), i
         assert state.exit_yes() is explicit_exit(want), i
     assert n == len(res.certificate[2])
     assert explicit_exit(want) is res.answer

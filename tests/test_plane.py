@@ -248,6 +248,34 @@ class TestKernelOracle:
         assert set(shapes) == {1, 2, 3}
 
 
+class Snapshot:
+    """A space system reduced to what SystemAggregates declares: p, q_count
+    and scaled(), the last taken once from the system it copies."""
+
+    __slots__ = ("p", "q_count", "_scaled")
+
+    def __init__(self, system) -> None:
+        self.p, self.q_count, self._scaled = system.p, system.q_count, system.scaled()
+
+    def scaled(self) -> tuple:
+        return self._scaled
+
+
+class TestSystemAggregates:
+    def test_reductions_read_only_the_snapshot(self):
+        # the deep state of TestIterationLimit holds q_min at its scale
+        # D = 5045, not in lowest terms; its SpaceSystem takes the lcm
+        res = certify_lower_bound(F(4), 8, TAU)
+        _, deep, _, _ = next(step for step in _State.walk(res.certificate) if step[0] == 12)
+        rng = random.Random(20260)
+        cases = [(GOLDEN_INPUT, GOLDEN_INPUT), (deep, deep.system())]
+        cases += [(inp, inp) for inp in (helpers.random_kernel_input(rng) for _ in range(200))]
+        for i, (source, system) in enumerate(cases):
+            stub = Snapshot(source)
+            for reduce in (quadric_threshold, reference_reduction):
+                assert helpers.outcome(reduce(stub, TAU)) == helpers.outcome(reduce(system, TAU)), i
+
+
 class TestIterationLimit:
     def test_message_names_the_aggregates(self, monkeypatch):
         # the loop hands the kernel its own state, whose repr is no help; the

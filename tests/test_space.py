@@ -137,7 +137,16 @@ FORGED = {
     # the golden (4; 1^8) certificate with its first move a plain string
     "unknown-move": (True, (F(4), 8, (("specialize", F(0)),) + GOLDEN_MOVES[1:]),
                      "step 0: unknown move 'specialize'"),
+    # certificates and steps of the wrong shape (SHAPES)
+    "no-moves": (True, (F(4), 8), "^start: a certificate is a triple"),
+    "moves-None": (True, (F(4), 8, None), "^start: the moves None are not a tuple or list$"),
+    "step-one-field": (True, (F(4), 8, GOLDEN_MOVES[:3] + ((SUB,),) + GOLDEN_MOVES[4:]),
+                       "^step 3: .* is not a pair"),
+    "step-three-fields": (True, (F(4), 8, GOLDEN_MOVES[:3] + ((SUB, F(4, 7), None),) + GOLDEN_MOVES[4:]),
+                          "^step 3: .* is not a pair"),
 }
+# the FORGED cases that every walk over a certificate refuses, not only the replay
+SHAPES = ("empty", "no-moves", "moves-None", "step-one-field", "step-three-fields")
 # name -> (answer, certificate) with a float where a rational belongs, which
 # replay_degeneration and .steps must refuse with a TypeError
 FLOATED = {
@@ -187,6 +196,15 @@ class TestDegeneration:
         answer, certificate, message = FORGED[name]
         with pytest.raises(AssertionError, match=message):
             replay_degeneration(DegenerationResult(answer, certificate), TAU)
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_walks_reject_malformed_certificates(self, name):
+        answer, certificate, message = FORGED[name]
+        result = DegenerationResult(answer, certificate)
+        with pytest.raises(AssertionError, match=message):
+            result.steps
+        with pytest.raises(AssertionError, match=message):
+            list(rendered_steps(result))
 
     @pytest.mark.parametrize("name", sorted(FLOATED))
     def test_replay_rejects_floats(self, name):
