@@ -17,7 +17,7 @@ forced negative on a t-range the original system is stably empty there.  The
 input is a space system (delta; q_1..q_s | 1^p) and the returned threshold t0
 encodes that range: its restriction-to-quadric system is stably empty for all
 rational 0 <= t < t0.  Both reductions below read a space system only
-through p, q_count and one scaled() call (SystemAggregates), so the q_j
+through p, q_count and scaled() (SystemAggregates), so the q_j
 only through their count, sum and least value, and delta, the sum and the
 least value as integers at a common scale D: a SpaceSystem computes them
 from its multiplicities with D the lcm of the denominators of delta and the
@@ -166,16 +166,15 @@ class ThresholdResult(NamedTuple):
     steps: tuple[ReductionStep, ...] = ()
 
 
-def associate_system(inp: SystemAggregates, scaled: tuple | None = None) -> PlaneSystem:
+def associate_system(inp: SystemAggregates) -> PlaneSystem:
     """The t-parametrized plane system attached to (delta; q_1..q_s | 1^p).
 
     Restriction to a smooth quadric carrying the s specialized lines in one
     ruling, with the quadric subtracted t times, gives on the plane
     L2(2*delta - q + (s-4)t; delta - 2t, delta - q + (s-2)t, 1^(2p))
-    where q is the sum of the q_j.  ``scaled`` is inp.scaled() when the
-    caller already holds it.
+    where q is the sum of the q_j.
     """
-    D, delta, q, _ = inp.scaled() if scaled is None else scaled
+    D, delta, q, _ = inp.scaled()
     s = inp.q_count
     degree = LinForm(Fraction(2 * delta - q, D), Fraction(s - 4))
     m1 = LinForm(Fraction(delta, D), Fraction(-2))
@@ -426,10 +425,10 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
     kernel, whose t0 and move counts must equal these, and the only
     reduction that records its steps (``trace-t`` renders them)."""
     tau = as_rational(tau)
-    scaled = inp.scaled()
-    if scaled[1] <= 0:
+    _, delta, _, q_min = inp.scaled()
+    if delta <= 0:
         raise ValueError("the plane reduction needs a positive degree")
-    sys = normalize(associate_system(inp, scaled), tau)
+    sys = normalize(associate_system(inp), tau)
     steps: list[ReductionStep] = []
     while True:
         k = cremona_k(sys)
@@ -441,7 +440,7 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
         steps.append(ReductionStep(sys, k, move))
         if nxt is None:
             moves = Counter(step.move for step in steps)
-            t0 = _terminal_t0(sys.degree.a, sys.degree.b, scaled[3])
+            t0 = _terminal_t0(sys.degree.a, sys.degree.b, q_min)
             return ThresholdResult(t0, moves[Move.CREMONA], moves[Move.MERGE], tuple(steps))
         sys = nxt
 

@@ -190,11 +190,8 @@ class TestChudnovsky:
         assert not any(v.startswith("s=14:") for v in got)  # a = 7, have = 4
 
     def test_tail_proof(self):
-        # the two integer inequalities of the chudnovsky_verify docstring,
-        # at their thresholds
-        assert 19**2 - 20 * 19 + 10 < 0 <= 20**2 - 20 * 20 + 10
-        assert 10**2 - 6 * 10 - 31 >= 0
-        # what they prove, on a finite range: the sqrt bound alone reaches
+        # what the chudnovsky_verify docstring proves, on a finite range:
+        # the sqrt bound alone reaches
         # (alpha_max(s) + 1)/2 for s >= 20, and below 20 fails only at s = 2
         assert all(2 * math.isqrt(2 * s - 1) >= alpha_max(s) + 1 for s in range(20, 100_001))
         assert [s for s in range(1, 20) if 2 * math.isqrt(2 * s - 1) < alpha_max(s) + 1] == [2]

@@ -208,6 +208,29 @@ class TestReduction:
             quadric_threshold(GOLDEN_INPUT, F(0))
 
 
+class Snapshot:
+    """A space system reduced to what SystemAggregates declares: p, q_count
+    and scaled(), the last taken once from the system it copies."""
+
+    __slots__ = ("p", "q_count", "_scaled")
+
+    def __init__(self, system) -> None:
+        self.p, self.q_count, self._scaled = system.p, system.q_count, system.scaled()
+
+    def scaled(self) -> tuple:
+        return self._scaled
+
+
+def check_reductions(inp, tau):
+    """Both reductions on inp and on its Snapshot give the reference's
+    outcome on inp, which is returned."""
+    want = reference_reduction(inp, tau)
+    stub = Snapshot(inp)
+    for got in (quadric_threshold(inp, tau), quadric_threshold(stub, tau), reference_reduction(stub, tau)):
+        assert helpers.outcome(got) == helpers.outcome(want), (inp, tau)
+    return want
+
+
 class TestKernelOracle:
     def test_matches_fraction_reference(self):
         # the integer kernel scales by lcm(den delta, den sum q_j) and keeps
@@ -218,8 +241,7 @@ class TestKernelOracle:
         for i in range(2000):
             inp = helpers.random_kernel_input(rng)
             tau = rng.choice((TAU, F(1, 7), F(2, 3)))
-            want = helpers.outcome(reference_reduction(inp, tau))
-            assert helpers.outcome(quadric_threshold(inp, tau)) == want, (i, inp, tau)
+            check_reductions(inp, tau)
             dens = [q.denominator for q in inp.specialized]
             q_den = sum(inp.specialized, F(0)).denominator
             coarser += math.lcm(inp.delta.denominator, q_den) < math.lcm(inp.delta.denominator, *dens)
@@ -235,10 +257,8 @@ class TestKernelOracle:
             steps = [st.system for st in certify_lower_bound(delta, s, TAU).steps if st.t0 is not None]
             states += random.Random(s).sample(steps, 150)
         shapes = Counter()
-        for i, state in enumerate(states):
-            want = reference_reduction(state, TAU)
-            assert helpers.outcome(quadric_threshold(state, TAU)) == helpers.outcome(want), i
-            for step in want.steps:
+        for state in states:
+            for step in check_reductions(state, TAU).steps:
                 if step.k is not None:
                     # how many groups the three leading units span
                     n = [count for _, count in step.system.groups[:2]]
@@ -247,33 +267,13 @@ class TestKernelOracle:
         assert max(state.delta.denominator.bit_length() for state in states) > 300
         assert set(shapes) == {1, 2, 3}
 
-
-class Snapshot:
-    """A space system reduced to what SystemAggregates declares: p, q_count
-    and scaled(), the last taken once from the system it copies."""
-
-    __slots__ = ("p", "q_count", "_scaled")
-
-    def __init__(self, system) -> None:
-        self.p, self.q_count, self._scaled = system.p, system.q_count, system.scaled()
-
-    def scaled(self) -> tuple:
-        return self._scaled
-
-
-class TestSystemAggregates:
-    def test_reductions_read_only_the_snapshot(self):
+    def test_loop_state_reads_as_its_system(self):
         # the deep state of TestIterationLimit holds q_min at its scale
         # D = 5045, not in lowest terms; its SpaceSystem takes the lcm
         res = certify_lower_bound(F(4), 8, TAU)
         _, deep, _, _ = next(step for step in _State.walk(res.certificate) if step[0] == 12)
-        rng = random.Random(20260)
-        cases = [(GOLDEN_INPUT, GOLDEN_INPUT), (deep, deep.system())]
-        cases += [(inp, inp) for inp in (helpers.random_kernel_input(rng) for _ in range(200))]
-        for i, (source, system) in enumerate(cases):
-            stub = Snapshot(source)
-            for reduce in (quadric_threshold, reference_reduction):
-                assert helpers.outcome(reduce(stub, TAU)) == helpers.outcome(reduce(system, TAU)), i
+        want = helpers.outcome(check_reductions(deep.system(), TAU))
+        assert helpers.outcome(check_reductions(deep, TAU)) == want
 
 
 class TestIterationLimit:
