@@ -20,12 +20,15 @@ An argument that starts with "-" and a digit or "." is read as a value, so
 `--range -5..10` reaches the range's own check, as `--range=-5..10` does.
 `trace-t` reads the space system (delta; q1..qs | 1^p) as "delta;q1,...,qs;p"
 and `trace-l` the start system (delta; 1^s) as "delta;s".  `trace-t` prints
-the steps of the Fraction reference reduction and the t0 of the integer
-kernel, after checking that the two thresholds agree (exit 1 if not).
+the steps of the Fraction reference reduction, which evaluates each form at
+tau once per step, and the t0 of the integer kernel, after checking that
+the two thresholds agree (exit 1 if not).
 `trace-l` walks the certificate once and prints each state straight from
-the walk's integers (space.rendered_steps), building no Fraction per value;
-`verify invariants` compares each lower bound with the top of e_s's
-enclosure by cross-multiplying integers.
+the walk's integers (space.rendered_steps), building no Fraction per value.
+`verify invariants` decides each lower bound v <= e_s exactly from the sign
+of the cubic at v (cubic.half_at_most_e_s).  Only when that fails does it
+enclose e_s and compare v with the top, hi + precision, by cross-multiplying
+integers; since e_s <= hi, the verdict is that comparison's.
 The search bound alone is cached, under (s, tau, grid, source fingerprint);
 every other report field is recomputed, and --no-l never opens the cache.
 Exit status is 0 when every requested check passed, 1 on violations, 2 on
@@ -48,6 +51,7 @@ from pathlib import Path
 
 from . import __version__, bounds, plane, report, space
 from .cache import ResultCache, default_cache_path
+from .cubic import half_at_most_e_s
 from .linform import as_rational
 from .reference import TABLE_S
 
@@ -295,15 +299,20 @@ def _verify_invariants(max_s: int, precision: Fraction) -> int:
             for s, a in zip(range(1, max_s + 1), am)
         ),
     )
-    # v <= hi + precision, doubled so that chudnovsky_bound(s) = (am + 1)/2
-    # is an integer too, and cross-multiplied: 2v * hd * pd <= 2(hn*pd + pn*hd)
+    # w is the greatest lower bound doubled, so that chudnovsky_bound(s) =
+    # (am + 1)/2 is an integer too.  w/2 <= e_s is decided exactly from the
+    # cubic's sign; only a w that fails that is held against the top of the
+    # enclosure, cross-multiplied: w * hd * pd <= 2(hn*pd + pn*hd).  Since
+    # e_s <= hi, the verdict is the enclosure test's alone.
     pn, pd = precision.numerator, precision.denominator
     ok = True
     for s in range(1, max_s + 1):
+        w = max(2 * sq[s - 1], 2 * rt[s - 1], 2 * dg[s - 1], am[s - 1] + 1)
+        if half_at_most_e_s(w, s):
+            continue
         root = bounds.largest_root(bounds.AsymptoticCubic(s), precision)
         hn, hd = root.hi.numerator, root.hi.denominator
-        top, den = 2 * (hn * pd + pn * hd), hd * pd
-        if not all(w * den <= top for w in (2 * sq[s - 1], 2 * rt[s - 1], 2 * dg[s - 1], am[s - 1] + 1)):
+        if w * hd * pd > 2 * (hn * pd + pn * hd):
             ok = False
             break
     check("every lower bound is at most e_s", ok)

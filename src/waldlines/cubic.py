@@ -110,6 +110,18 @@ def _bisect_right_of_dip(s: int, c: int, lo: int, hi: int, precision: Fraction) 
                 return _bisect(s, c, x, hi, e, precision)
 
 
+def half_at_most_e_s(w: int | Fraction, s: int) -> bool:
+    """Whether w/2 <= e_s, the largest root of t^3 - 3st + 2s, for rational
+    w, decided exactly from the cubic's sign with no enclosure.
+
+    The cubic's minimum on t >= 0 sits at sqrt(s) and is 2s(1 - sqrt(s))
+    <= 0, so e_s >= sqrt(s), and right of sqrt(s) the cubic increases.  So
+    w/2 <= e_s iff w <= 0, or w^2 <= 4s (w/2 <= sqrt(s)), or cubic(w/2) <= 0,
+    where 8 * cubic(w/2) = w^3 - 12sw + 16s.
+    """
+    return w <= 0 or w * w <= 4 * s or w * (w * w - 12 * s) + 16 * s <= 0
+
+
 def largest_root(cubic: AsymptoticCubic, precision: RationalLike) -> RootBracket | None:
     """Largest real root of the cubic on [1, ceil(sqrt(3s)) + 1].
 

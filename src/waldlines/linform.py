@@ -43,18 +43,24 @@ def as_rational(x: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class LinForm:
-    """Linear polynomial ``a + b*t`` with exact rational coefficients."""
+    """Linear polynomial ``a + b*t`` with exact rational coefficients.
+
+    A coefficient is converted only when it is not already a Fraction.
+    normalize evaluates each form at tau once per call."""
 
     a: Fraction
     b: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", as_rational(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", as_rational(self.b))
 
     def __call__(self, x: RationalLike) -> Fraction:
-        """Exact value a + b*x."""
-        return self.a + self.b * as_rational(x)
+        """Exact value a + b*x; a constant form returns a, with no arithmetic."""
+        x = as_rational(x)
+        return self.a + self.b * x if self.b else self.a
 
     def __add__(self, other: "LinForm") -> "LinForm":
         return LinForm(self.a + other.a, self.b + other.b)

@@ -189,28 +189,36 @@ def normalize(sys: PlaneSystem, tau: RationalLike) -> PlaneSystem:
     """Sort multiplicities non-increasingly at tau and drop entries <= 0 there.
 
     Tau-equal but polynomially distinct forms are ordered by (a, b) as a
-    deterministic tiebreak; equal forms always end up in a single run.
+    deterministic tiebreak; equal forms always end up in a single run.  Each
+    form is evaluated at tau once, and that value serves both the filter and
+    the sort; the (form, count) groups kept are the input's own.
     """
     tau = as_rational(tau)
-    kept = [(lf, n) for lf, n in sys.groups if lf(tau) > 0]
-    kept.sort(key=lambda g: (g[0](tau), g[0].a, g[0].b), reverse=True)
-    return PlaneSystem(sys.degree, _squeeze(kept))
+    kept = [(v, g) for g in sys.groups if (v := g[0](tau)).numerator > 0]
+    kept.sort(key=lambda vg: (vg[0], vg[1][0].a, vg[1][0].b), reverse=True)
+    return PlaneSystem(sys.degree, _squeeze([g for _, g in kept]))
 
 
 def cremona_k(sys: PlaneSystem) -> LinForm | None:
     """Degree minus the sum of the three greatest multiplicities, or None
-    when fewer than three multiplicities remain."""
+    when fewer than three multiplicities remain.  The coefficients are
+    summed directly, and a single unit is not multiplied by 1."""
     if sys.mult_count < 3:
         return None
-    k = sys.degree
+    a, b = sys.degree.a, sys.degree.b
     need = 3
     for lf, n in sys.groups:
         take = min(n, need)
-        k = k - take * lf
+        if take == 1:
+            a -= lf.a
+            b -= lf.b
+        else:
+            a -= take * lf.a
+            b -= take * lf.b
         need -= take
         if need == 0:
             break
-    return k
+    return LinForm(a, b)
 
 
 def apply_cremona(sys: PlaneSystem, k: LinForm) -> PlaneSystem:
@@ -423,7 +431,9 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
     operations alone: normalize, a Cremona move while k(tau) < 0, else a
     four-fold merge, recording every state.  The oracle for the integer
     kernel, whose t0 and move counts must equal these, and the only
-    reduction that records its steps (``trace-t`` renders them)."""
+    reduction that records its steps (``trace-t`` renders them).  It
+    re-sorts the whole system after every move: each step evaluates each
+    form at tau once, in normalize, and k once."""
     tau = as_rational(tau)
     _, delta, _, q_min = inp.scaled()
     if delta <= 0:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from waldlines import cli, plane, space
+from waldlines import bounds, cli, plane, space
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -52,13 +52,26 @@ def root_spans(layers, argv: list[str]) -> int:
     return sum(1 for span in tracer.spans if span[0] == "cubic.largest_root")
 
 
-def test_largest_root_spans_one_per_root(tmp_path):
+def test_largest_root_spans_one_per_root(tmp_path, monkeypatch):
     # the tracer rebinds largest_root in cubic, space, report and bounds and
     # counts cubic.largest_root.calls from the spans: one per root enclosed.
     # A new private binding would drop spans, a recursive call add them.
     layers = load_layers()
-    assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 20
+    # verify invariants decides every bound that holds from the cubic's sign
+    # and encloses no root for it
+    assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 0
+    # a bound above e_s at s = 20, at the top of its enclosure as in
+    # test_invariants_bound_at_the_enclosure_top, is held against the
+    # enclosure, through the bounds binding
+    precision = F(1, 10**6)  # verify's default --precision
+    top = bounds.largest_root(bounds.AsymptoticCubic(20), precision).hi + precision
+    closed_form = bounds.plane_degeneration_bound
+    monkeypatch.setattr(bounds, "plane_degeneration_bound", lambda n: top if n == 20 else closed_form(n))
+    assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 1
+    monkeypatch.undo()
+    # the report binding: one enclosure per s reported
     cache = str(tmp_path / "c.json")
+    assert root_spans(layers, ["table", ",".join(map(str, range(1, 21))), "--no-l", "--cache", cache]) == 20
     assert root_spans(layers, ["bound", "5", "--no-l", "--cache", cache]) == 1
 
 

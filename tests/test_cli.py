@@ -547,6 +547,14 @@ OUTPUT_DIGESTS = {
     "verify invariants --max-s 5000": "c2fdb32f83e752a0b07b9061a661ee7ebb6dfb35f1a127d2e33219da8bbf7573",
     "table 10,50,100,200,500 --no-l --precision 1/10000000000000000000000000000000000000000 --format json":
         "0b3e3bfbc9d6e1e35a279d3746cddbc02452faf14d076660185882c48e506bc6",
+    # recorded before the reference reduction evaluated each form at tau
+    # once per normalize and summed k's coefficients directly
+    "trace-t 7;1,1,1,1,1;15": "80960dd11e247e950c638e3537aca8afeadbc631432f8a24e33394a35a805bda",
+    "trace-t 7;1,1,1,1,1;15 --json": "d20cd67c108158058af31109a2f1a0265e13d9a27800e9945230b23b56dd1a31",
+    "trace-t 7;1,1,1,1,1;15 --tau 1/7": "34994c6e5cb694dd9ef7acb2335561d3bb03ed04d4abec92ca021c86d9a8b076",
+    "trace-t 7;1,1,1,1,1;15 --tau 1/7 --json": "9174a002316811a42e6fcecfd452cd6b5b51d2b7ed2734542dc82fc21a445cd5",
+    "trace-t 29/4;1/3,2/5,1,1,1/2,3;20": "b63fd6da70ebfb1ec7204bed7711a6dd766662c9caea87b6a416b3fdcad88028",
+    "trace-t 29/4;1/3,2/5,1,1,1/2,3;20 --json": "ad60d70f4a09e5fcaf7fdf1aa1d4277c7eb876d6cbeba9c5252f796480a6fc0d",
 }
 
 
@@ -567,6 +575,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "invariants", "--max-s", "60")
         assert code == 0
         assert out.count("pass") >= 5
+
+    def test_invariants_enclose_no_root_when_every_bound_holds(self, capsys, monkeypatch):
+        # every lower bound is at most e_s, decided from the cubic's sign
+        def no_enclosure(*args):
+            raise AssertionError("largest_root called though every bound holds")
+
+        monkeypatch.setattr(bounds, "largest_root", no_enclosure)
+        code, out, _ = run(capsys, "verify", "invariants", "--max-s", "200")
+        assert code == 0
+        assert "pass  every lower bound is at most e_s" in out.splitlines()
 
     @pytest.mark.parametrize("above, mark, code", [(0, "pass", 0), (F(1, 10**40), "FAIL", 1)])
     def test_invariants_bound_at_the_enclosure_top(self, capsys, monkeypatch, above, mark, code):

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 import helpers
-from waldlines.cubic import AsymptoticCubic, largest_root
+from waldlines.cubic import AsymptoticCubic, half_at_most_e_s, largest_root
 
 EPS = F(1, 10**6)
 # precision 1 is the width of an integer bracket, so it tells a width test
@@ -113,3 +114,26 @@ class TestLargestRoot:
             AsymptoticCubic(3, -1)
         with pytest.raises(ValueError):
             largest_root(AsymptoticCubic(3), F(0))
+
+
+class TestHalfAtMostEs:
+    def test_every_integer_near_twice_the_root(self):
+        # each integer w within 3 of 2 e_s falls outside a 10^-40 enclosure
+        # [lo, hi] of e_s when halved, and the exact check must side with it;
+        # so must the enclosure's own ends, doubled, as rational w
+        for s in range(1, 2001):
+            root = largest_root(AsymptoticCubic(s), F(1, 10**40))
+            lo, hi = root.lo, root.hi
+            for w in range(math.floor(2 * lo) - 3, math.ceil(2 * hi) + 4):
+                assert w <= 2 * lo or w > 2 * hi, (s, w)
+                assert half_at_most_e_s(w, s) == (w <= 2 * lo), (s, w)
+            assert half_at_most_e_s(2 * lo, s), s
+            assert half_at_most_e_s(2 * hi, s) == (lo == hi), s
+
+    def test_double_root_at_sqrt_s(self):
+        # s = 1: t^3 - 3t + 2 = (t - 1)^2 (t + 2), so e_1 = 1 = sqrt(s), where
+        # the cubic touches zero; w = 2 sits exactly there
+        assert half_at_most_e_s(2, 1) and half_at_most_e_s(F(2), 1)
+        assert not half_at_most_e_s(F(2) + F(1, 10**40), 1)
+        assert not half_at_most_e_s(3, 1)
+        assert all(half_at_most_e_s(w, 1) for w in (-100, -3, 0, 1, F(3, 2)))

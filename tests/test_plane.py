@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -238,16 +239,23 @@ class TestKernelOracle:
         # Fraction systems after every move
         rng = random.Random(20250)
         coarser = 0
+        steps = hashlib.sha256()
         for i in range(2000):
             inp = helpers.random_kernel_input(rng)
             tau = rng.choice((TAU, F(1, 7), F(2, 3)))
-            check_reductions(inp, tau)
+            want = check_reductions(inp, tau)
+            for step in want.steps:
+                steps.update(f"{format_system(step.system)}  k={step.k}  {step.move.value}\n".encode())
+            steps.update(f"t0={want.t0} {want.cremona} {want.merge}\n".encode())
             dens = [q.denominator for q in inp.specialized]
             q_den = sum(inp.specialized, F(0)).denominator
             coarser += math.lcm(inp.delta.denominator, q_den) < math.lcm(inp.delta.denominator, *dens)
         # a fifth of the inputs scale by less than the lcm of all their
         # denominators
         assert coarser > 300
+        # every step of the reference and its (t0, cremona, merge), byte for
+        # byte as recorded before normalize evaluated each form at tau once
+        assert steps.hexdigest() == "b3e6b41b890d1c09330a428faad06822551311b6d2aca4d6d3a3a2913c220a44"
 
     def test_matches_fraction_reference_on_deep_states(self):
         # random inputs stay small; the degeneration loop's own states reach
