@@ -20,9 +20,10 @@ An argument that starts with "-" and a digit or "." is read as a value, so
 `--range -5..10` reaches the range's own check, as `--range=-5..10` does.
 `trace-t` reads the space system (delta; q1..qs | 1^p) as "delta;q1,...,qs;p"
 and `trace-l` the start system (delta; 1^s) as "delta;s".  `trace-t` prints
-the steps of the Fraction reference reduction, which evaluates each form at
-tau once per step, and the t0 of the integer kernel, after checking that
-the two thresholds agree (exit 1 if not).
+the steps of the Fraction reference reduction, which evaluates each form
+object at tau once per reduction, and the t0 of the integer kernel, after
+checking that the two thresholds agree (exit 1 if not); each form is
+rendered from its coefficients' numerators and denominators.
 `trace-l` walks the certificate once and prints each state straight from
 the walk's integers (space.rendered_steps), building no Fraction per value.
 `verify invariants` decides each lower bound v <= e_s exactly from the sign
@@ -32,9 +33,10 @@ integers; since e_s <= hi, the verdict is that comparison's.
 The search bound alone is cached, under (s, tau, grid, source fingerprint);
 every other report field is recomputed, and --no-l never opens the cache.
 Exit status is 0 when every requested check passed, 1 on violations, 2 on
-usage errors.  One parser serves every `main` call of a process: it is built
-on the first call (not at import) and reused, while `build_parser` still
-returns a fresh one.
+usage errors; a reader that closes stdout's pipe early ends the command
+with status 1 and no traceback.  One parser serves every `main` call of a
+process: it is built on the first call (not at import) and reused, while
+`build_parser` still returns a fresh one.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -391,10 +394,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _stdout_fd() -> int | None:
+    try:
+        return sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone (e.g. `| head`): send what stdout still holds
+        # to devnull so the flush at exit cannot fail again, and exit 1; a
+        # stream with no file descriptor is the caller's, and sees the error
+        fd = _stdout_fd()
+        if fd is None:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,11 +45,16 @@ def as_rational(x: RationalLike) -> Fraction:
 class LinForm:
     """Linear polynomial ``a + b*t`` with exact rational coefficients.
 
-    A coefficient is converted only when it is not already a Fraction.
-    normalize evaluates each form at tau once per call."""
+    A coefficient is converted only when it is not already a Fraction.  A
+    form keeps its value at the last tau object it was called with and
+    returns it while called with that same object (an identity check), so a
+    reduction evaluates each form object once, not once per step.  The pair
+    sits in the instance dict, outside the fields, so ==, hash and repr
+    never see it; holding tau keeps the identity check sound."""
 
     a: Fraction
     b: Fraction = Fraction(0)
+    _memo = (object(), None)  # (tau, value), tau no caller holds; unannotated, so not a field
 
     def __post_init__(self) -> None:
         if type(self.a) is not Fraction:
@@ -59,8 +64,13 @@ class LinForm:
 
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact value a + b*x; a constant form returns a, with no arithmetic."""
+        at, value = self._memo
+        if x is at:
+            return value
         x = as_rational(x)
-        return self.a + self.b * x if self.b else self.a
+        value = self.a + self.b * x if self.b else self.a
+        object.__setattr__(self, "_memo", (x, value))
+        return value
 
     def __add__(self, other: "LinForm") -> "LinForm":
         return LinForm(self.a + other.a, self.b + other.b)
@@ -86,12 +96,18 @@ class LinForm:
 
 
 def format_linform(f: LinForm) -> str:
-    """Render as "a", "bt" or "a+bt"/"a-bt", e.g. "6-2t", "3t", "-8+141t"."""
-    if f.b == 0:
-        return str(f.a)
-    bmag = abs(f.b)
-    tpart = "t" if bmag == 1 else f"{bmag}t"
-    if f.a == 0:
-        return tpart if f.b > 0 else f"-{tpart}"
-    sign = "+" if f.b > 0 else "-"
-    return f"{f.a}{sign}{tpart}"
+    """Render as "a", "bt" or "a+bt"/"a-bt", e.g. "6-2t", "3t", "-8+141t".
+
+    Signs and magnitudes are read from the coefficients' numerators and
+    denominators, with no Fraction arithmetic or comparison; the text is
+    str(Fraction)'s, "n" or "n/d"."""
+    bn, bd = f.b.numerator, f.b.denominator
+    an, ad = f.a.numerator, f.a.denominator
+    if not bn:
+        return str(an) if ad == 1 else f"{an}/{ad}"
+    bmag = -bn if bn < 0 else bn
+    tpart = f"{bmag}/{bd}t" if bd != 1 else "t" if bmag == 1 else f"{bmag}t"
+    if not an:
+        return tpart if bn > 0 else f"-{tpart}"
+    sign = "+" if bn > 0 else "-"
+    return f"{an}{sign}{tpart}" if ad == 1 else f"{an}/{ad}{sign}{tpart}"

@@ -45,6 +45,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, Protocol
 
 from .linform import LinForm, RationalLike, as_rational, format_linform
@@ -88,7 +89,7 @@ def _squeeze(groups: list[tuple[LinForm, int]]) -> Groups:
     """Merge adjacent equal-form runs without reordering."""
     out: list[tuple[LinForm, int]] = []
     for lf, n in groups:
-        if out and out[-1][0] == lf:
+        if out and (out[-1][0] is lf or out[-1][0] == lf):
             out[-1] = (lf, out[-1][1] + n)
         else:
             out.append((lf, n))
@@ -188,15 +189,29 @@ def associate_system(inp: SystemAggregates) -> PlaneSystem:
 def normalize(sys: PlaneSystem, tau: RationalLike) -> PlaneSystem:
     """Sort multiplicities non-increasingly at tau and drop entries <= 0 there.
 
-    Tau-equal but polynomially distinct forms are ordered by (a, b) as a
-    deterministic tiebreak; equal forms always end up in a single run.  Each
-    form is evaluated at tau once, and that value serves both the filter and
-    the sort; the (form, count) groups kept are the input's own.
+    Each form is evaluated at tau once (a form object called again with the
+    same tau returns its kept value), and that value serves both the filter
+    and the sort.  The kept values are scaled to integers by the lcm of
+    their denominators, and the groups sort on the exact key (scaled value,
+    a, b), so tau-equal but polynomially distinct forms are ordered by
+    (a, b) as a deterministic tiebreak.  Adjacent groups are joined exactly
+    where their keys are equal, so equal forms always end up in a single
+    run; the (form, count) groups kept are otherwise the input's own.
     """
     tau = as_rational(tau)
     kept = [(v, g) for g in sys.groups if (v := g[0](tau)).numerator > 0]
-    kept.sort(key=lambda vg: (vg[0], vg[1][0].a, vg[1][0].b), reverse=True)
-    return PlaneSystem(sys.degree, _squeeze([g for _, g in kept]))
+    scale = math.lcm(*[v.denominator for v, _ in kept])
+    keyed = [((v.numerator * (scale // v.denominator), g[0].a, g[0].b), g) for v, g in kept]
+    keyed.sort(key=itemgetter(0), reverse=True)
+    out: list[tuple[LinForm, int]] = []
+    last = None
+    for key, g in keyed:
+        if key == last:
+            out[-1] = (g[0], out[-1][1] + g[1])
+        else:
+            out.append(g)
+            last = key
+    return PlaneSystem(sys.degree, tuple(out))
 
 
 def cremona_k(sys: PlaneSystem) -> LinForm | None:
@@ -258,7 +273,7 @@ def merge_four(sys: PlaneSystem, tau: RationalLike) -> PlaneSystem | None:
             else:
                 del rest[i]
             rest.append((2 * lf, 1))
-            return normalize(PlaneSystem(sys.degree, _squeeze(rest)), tau)
+            return normalize(PlaneSystem(sys.degree, tuple(rest)), tau)
     return None
 
 
@@ -432,8 +447,11 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
     four-fold merge, recording every state.  The oracle for the integer
     kernel, whose t0 and move counts must equal these, and the only
     reduction that records its steps (``trace-t`` renders them).  It
-    re-sorts the whole system after every move: each step evaluates each
-    form at tau once, in normalize, and k once."""
+    re-sorts the whole system after every move, but evaluates each form
+    object at tau once per reduction: a form kept from one step to the next
+    returns the value it kept, so a step computes only the forms its move
+    made and k.  No memo is passed around; the values live on the forms and
+    are exact, and the reduction shares no code or scale with the kernel."""
     tau = as_rational(tau)
     _, delta, _, q_min = inp.scaled()
     if delta <= 0:

@@ -1,5 +1,6 @@
 """Shared generators, property-suite checks, the linear-form parser that
-reads golden traces and the Fraction renderer of degeneration states.
+reads golden traces, and the Fraction renderers of linear forms and of
+degeneration states.
 
 The acceptance gate runs the same suites as the regular property tests, so
 the check bodies live here and return (ok, detail) pairs.
@@ -70,6 +71,20 @@ def parse_linform(text: str) -> LinForm:
     a = as_rational(m.group("a")) if "a" in m.groupdict() else Fraction(0)
     b = as_rational(m.group("b") or 1)
     return LinForm(a, -b if m.group("sign") == "-" else b)
+
+
+def reference_format_linform(f: LinForm) -> str:
+    """The Fraction renderer that linform.format_linform replaced: the
+    oracle for its reading of numerators and denominators.  It takes abs()
+    of b and compares coefficients as Fractions."""
+    if f.b == 0:
+        return str(f.a)
+    bmag = abs(f.b)
+    tpart = "t" if bmag == 1 else f"{bmag}t"
+    if f.a == 0:
+        return tpart if f.b > 0 else f"-{tpart}"
+    sign = "+" if f.b > 0 else "-"
+    return f"{f.a}{sign}{tpart}"
 
 
 def random_fraction(rng: random.Random, num_max: int = 40, den_max: int = 12) -> Fraction:

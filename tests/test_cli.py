@@ -225,6 +225,21 @@ class TestTraceT:
         assert out == ""
         assert err.startswith("error:") and "1/2" in err and "8/141" in err
 
+    def test_reference_threshold_must_match_the_kernel(self, capsys, monkeypatch):
+        # the same guard seen from the other side: a reference reduction
+        # whose t0 is off prints no step of its trace
+        reference = plane.reference_reduction
+
+        def shifted(inp, tau):
+            return reference(inp, tau)._replace(t0=F(8, 141) + 1)
+
+        monkeypatch.setattr(plane, "reference_reduction", shifted)
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "trace-t", "7;1,1,1,1,1;15", *extra)
+            assert (code, out) == (1, "")
+            assert err == ("error: the plane kernel's threshold 8/141 differs from"
+                           " the reference reduction's 149/141\n")
+
     def test_malformed_input_no_partial_output(self, capsys):
         code, out, err = run(capsys, "trace-t", "7;;x")
         assert code == 2
@@ -528,6 +543,20 @@ def test_cli_module_runs():
         env=_fresh_env(), capture_output=True, text=True, check=True,
     ).stdout
     assert out == f"waldlines {waldlines.__version__}\n"
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that stops after one line (`| head -1`) closes the pipe while
+    # trace-l still has about 1 MB to write, far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "waldlines.cli", "trace-l", "11.569;50"],
+        env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "start: (11569/1000; | 1^50)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""  # no traceback, and nothing left to fail at exit
 
 
 # sha256 of "exit <code>\n<stdout>\0<stderr>" for each command, recorded

@@ -233,10 +233,24 @@ def check_reductions(inp, tau):
 
 
 class TestKernelOracle:
-    def test_matches_fraction_reference(self):
+    def test_matches_fraction_reference(self, monkeypatch):
         # the integer kernel scales by lcm(den delta, den sum q_j) and keeps
         # its groups sorted by insertion; the reference re-normalizes
         # Fraction systems after every move
+        calls = ties = 0
+
+        def counting_normalize(sys, tau):
+            # a tie: two kept, unequal forms with one value at tau, which
+            # normalize orders by (a, b); equal forms share a run, so the
+            # tied forms are adjacent and distinct
+            nonlocal calls, ties
+            out = normalize(sys, tau)
+            values = [form(tau) for form, _ in out.groups]
+            calls += 1
+            ties += any(x == y for x, y in zip(values, values[1:]))
+            return out
+
+        monkeypatch.setattr(plane, "normalize", counting_normalize)
         rng = random.Random(20250)
         coarser = 0
         steps = hashlib.sha256()
@@ -256,6 +270,9 @@ class TestKernelOracle:
         # every step of the reference and its (t0, cremona, merge), byte for
         # byte as recorded before normalize evaluated each form at tau once
         assert steps.hexdigest() == "b3e6b41b890d1c09330a428faad06822551311b6d2aca4d6d3a3a2913c220a44"
+        # so the (a, b) tiebreak is under the digest (102 of 63,570 calls
+        # tie, counting the runs on each input and on its Snapshot)
+        assert ties >= 1 and calls > 60_000
 
     def test_matches_fraction_reference_on_deep_states(self):
         # random inputs stay small; the degeneration loop's own states reach
