@@ -24,11 +24,12 @@ _RATIONAL_RE = re.compile(rf"[+-]?{_UNSIGNED}")
 def as_rational(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction or "p"/"p/q"/"p.d" string to an exact Fraction.
 
-    Malformed literals, zero denominators included, raise ValueError.
+    Malformed literals, zero denominators included, raise ValueError.  A
+    bool is not read as 0 or 1: like a float, it raises TypeError.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         s = x.strip()

@@ -26,11 +26,12 @@ scale and keeps them up to date with no Python code per specialized line.
 
 The reduction has two implementations.  quadric_threshold, the one every
 caller of t0 uses, runs on integers and returns t0 with the numbers of
-Cremona moves and merges it took; outside its per-move loop a call builds
-three integer forms and one tuple, and makes no Fraction but t0.
-reference_reduction runs the same moves on the Fraction systems below and
-records every state: it is the kernel's oracle in the tests and the trace
-that ``trace-t`` prints.
+Cremona moves and merges it took; outside its loop a call builds three
+integer forms and one tuple, and makes no Fraction but t0.  One iteration
+of that loop takes one move, or in closed form a whole run of Cremona moves
+that repeat one defect k.  reference_reduction runs the same moves one at
+a time on the Fraction systems below and records every state: it is the
+kernel's oracle in the tests and the trace that ``trace-t`` prints.
 
 Multiplicity lists are kept run-length encoded: systems routinely carry
 hundreds of repeated entries (1^2p blocks), and every move touches at most a
@@ -277,7 +278,8 @@ def merge_four(sys: PlaneSystem, tau: RationalLike) -> PlaneSystem | None:
     return None
 
 
-# Step cap of the plane reduction and of the degeneration loop.
+# Step cap of the degeneration loop and of the plane reduction's loop
+# iterations (a run of Cremona moves with one k is one iteration).
 MAX_STEPS = 1_000_000
 
 
@@ -335,6 +337,30 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     held as (deg_v, deg_a), so k(tau) is deg_v minus the values of those
     units, with no multiplication by tau; the constant ka of k is formed
     only when a Cremona move is taken.
+
+    A run of moves with one k is taken in one iteration.  Let the three
+    leading units be one of the top form m and two of the form u just below
+    it, which has c units, so k = deg - m - 2u.  A move leaves the degree
+    deg + k, one unit of m + k, two of u + k and c - 2 of u.  Since
+    k(tau) < 0, u + k lies below u; so while m + k lies strictly above u
+    in the (v, a) order and u keeps two units, these are again the leading
+    units, and the next defect is (deg + k) - (m + k) - 2u = k.  The move
+    repeats, and after j of them the top form is m + j*k, u keeps c - 2j
+    units and 2j units of u + k lie below it.  Move j + 1 is taken while
+    2j + 2 <= c and m + j*k lies above u.  With q, r = divmod(v_m - v_u,
+    -kv), m + j*k lies above u in value for j <= q when r > 0, and for j < q
+    when r = 0; at j = q the values then tie, and the constants decide:
+    a_m - a_u + q*ka > 0.  So the run has J = min(c // 2, J_order) moves,
+    with J_order = q + 1 if r > 0, else q + [a_m - a_u + q*ka > 0].  It
+    leaves the degree deg + J*k and c - 2J units of u, and pending forms
+    (m + J*k, 1) and (u + k, 2J), inserted like any (either is dropped when
+    its value is <= 0).  It counts J Cremona moves.  total counts the units
+    in the groups: the run takes off m and 2J units of u, so it falls by
+    2J + 1, not 3J; one move at a time would have inserted each of the
+    J - 1 forms m + j*k in between, and taken it off again.  The run is
+    entered only when c >= 4 and v_m + kv > v_u, so that J >= 2; otherwise
+    the single move is taken.  MAX_STEPS caps the iterations of the loop,
+    so a run counts once, however many moves it takes.
     """
     if not isinstance(tau, Fraction):  # the loop and the replay pass a Fraction
         tau = as_rational(tau)
@@ -398,6 +424,22 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
             elif lead == 2:
                 n2 = 3 - n1
                 ka = deg_a - n1 * g1[1] - n2 * g2[1]
+                c = g2[2]
+                if n1 == 1 and c >= 4 and g1[0] + kv > g2[0]:
+                    # a run of J >= 2 moves with this k (see the docstring)
+                    q, r = divmod(g1[0] - g2[0], -kv)
+                    j = min(c // 2, q + 1 if r else q + (g1[1] - g2[1] + q * ka > 0))
+                    pending = ((g1[0] + j * kv, g1[1] + j * ka, 1), (g2[0] + kv, g2[1] + ka, 2 * j))
+                    groups.pop()
+                    if c > 2 * j:
+                        g2[2] = c - 2 * j
+                    else:
+                        groups.pop()
+                    deg_v += j * kv
+                    deg_a += j * ka
+                    total -= 2 * j + 1
+                    cremonas += j
+                    continue
                 pending = ((g1[0] + kv, g1[1] + ka, n1), (g2[0] + kv, g2[1] + ka, n2))
                 groups.pop()
                 if g2[2] > n2:

@@ -1,6 +1,6 @@
 """Shared generators, property-suite checks, the linear-form parser that
-reads golden traces, and the Fraction renderers of linear forms and of
-degeneration states.
+reads golden traces, the Fraction renderers of linear forms and of
+degeneration states, and replaced code kept as the oracle of what replaced it.
 
 The acceptance gate runs the same suites as the regular property tests, so
 the check bodies live here and return (ok, detail) pairs.
@@ -12,6 +12,7 @@ import json
 import math
 import random
 import re
+from bisect import bisect_left
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from waldlines.plane import (
     SpaceSystem,
     SystemAggregates,
     ThresholdResult,
+    _terminal_t0,
     apply_cremona,
     normalize,
     quadric_threshold,
@@ -221,6 +223,106 @@ def check_walk_against_explicit_states(res: DegenerationResult) -> None:
         assert state.exit_yes() is explicit_exit(want), i
     assert n == len(res.certificate[2])
     assert explicit_exit(want) is res.answer
+
+
+def stepwise_quadric_threshold(inp: SystemAggregates, tau: Fraction) -> ThresholdResult:
+    """The integer kernel that plane.quadric_threshold replaced, one Cremona
+    move per loop iteration: the oracle for the kernel's runs, which take
+    each repeated move with one defect k in one step.  Cheap enough to run
+    on every kernel call of a certification, which the Fraction reference
+    is not."""
+    tn, td = tau.as_integer_ratio()
+    D, delta, q, q_min = inp.scaled()
+    # the associated system L2(2delta - q + (s-4)t; delta - 2t,
+    # delta - q + (s-2)t, 1^2p) at the scale D, each form as (v, a)
+    s, p, Dt = inp.q_count, inp.p, D * tn
+    deg_a = 2 * delta - q
+    deg_v = deg_a * td + (s - 4) * Dt
+    m2 = delta - q
+    pending = [(delta * td - 2 * Dt, delta, 1), (m2 * td + (s - 2) * Dt, m2, 1)]
+    if p > 0:
+        pending.append((D * td, D, 2 * p))
+    # [v, a, count] ascending by (v, a), one entry per distinct form:
+    # normalize's order reversed, so the leading multiplicities sit at the
+    # end; total counts the units kept
+    groups: list[list[int]] = []
+    total = 0
+    # pending: (v, a, count) of the forms a move made (at first, of the
+    # associated system), inserted when the next step begins
+    cremonas = merges = 0
+    while True:
+        for v, a, n in pending:
+            if v > 0:
+                i = bisect_left(groups, [v, a])
+                if i < len(groups) and (g := groups[i])[0] == v and g[1] == a:
+                    g[2] += n
+                else:
+                    groups.insert(i, [v, a, n])
+                total += n
+        # lead: how many groups, from the end, hold the three leading units
+        lead = 0
+        if total >= 3:
+            g1 = groups[-1]
+            n1 = g1[2]
+            if n1 >= 3:
+                lead, kv = 1, deg_v - 3 * g1[0]
+            else:
+                g2 = groups[-2]
+                if n1 + g2[2] >= 3:
+                    lead, kv = 2, deg_v - n1 * g1[0] - (3 - n1) * g2[0]
+                else:
+                    g3 = groups[-3]
+                    lead, kv = 3, deg_v - g1[0] - g2[0] - g3[0]
+        if lead and kv < 0:
+            # the constant ka of k is needed only here; take the three leading
+            # units off before inserting any: a moved form may overtake one
+            # that is still waiting to move
+            if lead == 1:
+                ka = deg_a - 3 * g1[1]
+                pending = ((g1[0] + kv, g1[1] + ka, 3),)
+                if n1 > 3:
+                    g1[2] = n1 - 3
+                else:
+                    groups.pop()
+            elif lead == 2:
+                n2 = 3 - n1
+                ka = deg_a - n1 * g1[1] - n2 * g2[1]
+                pending = ((g1[0] + kv, g1[1] + ka, n1), (g2[0] + kv, g2[1] + ka, n2))
+                groups.pop()
+                if g2[2] > n2:
+                    g2[2] -= n2
+                else:
+                    groups.pop()
+            else:
+                ka = deg_a - g1[1] - g2[1] - g3[1]
+                pending = ((g1[0] + kv, g1[1] + ka, 1), (g2[0] + kv, g2[1] + ka, 1),
+                           (g3[0] + kv, g3[1] + ka, 1))
+                if g3[2] > 1:
+                    g3[2] -= 1
+                    del groups[-2:]
+                else:
+                    del groups[-3:]
+            deg_v += kv
+            deg_a += ka
+            total -= 3
+            cremonas += 1
+        else:
+            # merge four units of the greatest form that has them
+            for i in range(len(groups) - 1, -1, -1):
+                if groups[i][2] >= 4:
+                    break
+            else:
+                break  # neither move applies: the system is terminal
+            g = groups[i]
+            if g[2] > 4:
+                g[2] -= 4
+            else:
+                del groups[i]
+            total -= 4
+            pending = ((2 * g[0], 2 * g[1], 1),)
+            merges += 1
+    t0 = _terminal_t0(deg_a, (deg_v - deg_a * td) // tn, q_min)
+    return ThresholdResult(t0, cremonas, merges)
 
 
 def _reference_bisect(

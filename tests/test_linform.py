@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import parse_linform, reference_format_linform
 from waldlines.linform import LinForm, as_rational, format_linform
+from waldlines.space import best_bound
 
 
 def lf(text: str) -> LinForm:
@@ -58,6 +59,19 @@ class TestFormatParse:
     def test_as_rational_rejects_floats(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_as_rational_rejects_bools(self, flag):
+        # a bool is an int, but not a number any caller means: read as 1,
+        # tau=True ran best_bound(5) at tau = 1 and returned 1333/500
+        with pytest.raises(TypeError, match="^cannot interpret bool as a rational$"):
+            as_rational(flag)
+        with pytest.raises(TypeError):
+            LinForm(flag)
+        with pytest.raises(TypeError):
+            LinForm(F(1), F(2))(flag)
+        with pytest.raises(TypeError):
+            best_bound(5, flag, F(1, 1000))
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)

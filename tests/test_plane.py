@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 import helpers
-from waldlines import plane
+from test_space import GOLDEN_DIGEST_CASES
+from waldlines import plane, space
 from helpers import parse_linform
 from waldlines.linform import LinForm
 from waldlines.plane import (
@@ -299,6 +300,62 @@ class TestKernelOracle:
         _, deep, _, _ = next(step for step in _State.walk(res.certificate) if step[0] == 12)
         want = helpers.outcome(check_reductions(deep.system(), TAU))
         assert helpers.outcome(check_reductions(deep, TAU)) == want
+
+    # name -> (delta, q_j, p, tau, the moves its run saves): one input for
+    # each way a run of Cremona moves with one defect k ends, found by a
+    # seeded search over small inputs
+    RUN_ENDS = {
+        # u, the form below the top one, keeps fewer than two units
+        "units": (F(9), (F(5, 3), F(3), F(2), F(3, 2)), 3, F(1, 10), 1),
+        # the top form falls strictly below u in value at tau
+        "below": (F(21, 4), (F(5, 2), F(7, 4), F(1, 2)), 5, F(2, 3), 2),
+        # the top form ties u in value with the greater constant, so it
+        # moves once more
+        "tie-for": (F(29, 3), (F(3, 2), F(7)), 11, F(1, 2), 8),
+        # the top form ties u in value with the smaller constant
+        "tie-against": (F(19, 3), (F(2), F(2, 3), F(3)), 9, F(1, 2), 3),
+        # the top form ties u in value and constant, so it is u and joins
+        # u's group
+        "tie-equal": (F(16, 3), (F(1), F(3), F(1)), 4, F(3, 4), 1),
+        # the last top form is <= 0 at tau and dropped, and so is u + k,
+        # which lies below it
+        "top-dropped": (F(43, 4), (F(1, 2), F(8), F(5, 2), F(5, 3), F(3, 2)), 3, F(2, 3), 2),
+        # only u + k is <= 0 at tau
+        "u+k-dropped": (F(5), (F(1), F(2), F(2)), 2, F(1, 10), 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUN_ENDS))
+    def test_runs_of_repeated_moves(self, name, monkeypatch):
+        delta, qs, p, tau, saved = self.RUN_ENDS[name]
+        inp = SpaceSystem(delta, qs, p)
+        want = helpers.outcome(check_reductions(inp, tau))
+        # a run is one iteration of the kernel's loop, which MAX_STEPS caps;
+        # one move at a time takes one per move and one to stop
+        iterations = want[1] + want[2] + 1 - saved
+        monkeypatch.setattr(plane, "MAX_STEPS", iterations)
+        assert helpers.outcome(quadric_threshold(inp, tau)) == want
+        monkeypatch.setattr(plane, "MAX_STEPS", iterations - 1)
+        with pytest.raises(IterationLimitError):
+            quadric_threshold(inp, tau)
+
+    def test_matches_stepwise_kernel_on_every_loop_call(self, monkeypatch):
+        # the Fraction reference is too slow to run on every kernel call of
+        # these certifications; the kernel that takes one move per iteration
+        # is not
+        kernel, calls = space.quadric_threshold, []
+
+        def checked(inp, tau):
+            got = kernel(inp, tau)
+            assert helpers.outcome(got) == helpers.outcome(helpers.stepwise_quadric_threshold(inp, tau))
+            calls.append(got.cremona)
+            return got
+
+        monkeypatch.setattr(space, "quadric_threshold", checked)
+        for delta, s in GOLDEN_DIGEST_CASES + [(F("11.569"), 50), (F("16.636"), 100)]:
+            certify_lower_bound(delta, s, TAU)
+        # the kernel calls these runs make, all checked, and their Cremona
+        # moves
+        assert (len(calls), sum(calls)) == (5174, 133178)
 
 
 class TestIterationLimit:

@@ -156,6 +156,14 @@ FLOATED = {
     # (2; | 1) certifies nothing: it specializes its line, then ends "no"
     "float-terminal-no": (False, (F(2), 1, ((SPEC, F(0)), (NO, 0.0)))),
 }
+# the "yes" certificate of (1; 1^2), and name -> (that certificate with a
+# bool for 1, where the bool is): read as 1, either replayed; like a float,
+# it must be a TypeError naming its place
+CERTIFICATE_1_2 = (F(1), 2, ((SPEC, F(0)), (SUB, F(1)), (YES, None)))
+BOOLS = {
+    "bool-delta": ((True,) + CERTIFICATE_1_2[1:], "start"),
+    "bool-t": ((F(1), 2, ((SPEC, F(0)), (SUB, True), (YES, None))), "step 1"),
+}
 # name -> (answer, certificate, the step) with a None where a specialization
 # or a "no" records its threshold: a TypeError naming the step
 NONES = {
@@ -214,6 +222,17 @@ class TestDegeneration:
         with pytest.raises(TypeError, match="cannot interpret float as a rational"):
             replay_degeneration(result, TAU)
         with pytest.raises(TypeError, match="cannot interpret float as a rational"):
+            result.steps
+
+    @pytest.mark.parametrize("name", sorted(BOOLS))
+    def test_replay_rejects_bools(self, name):
+        assert certify_lower_bound(F(1), 2, TAU).certificate == CERTIFICATE_1_2
+        certificate, where = BOOLS[name]
+        result = DegenerationResult(True, certificate)
+        want = f"^{where}: cannot interpret bool as a rational$"
+        with pytest.raises(TypeError, match=want):
+            replay_degeneration(result, TAU)
+        with pytest.raises(TypeError, match=want):
             result.steps
 
     @pytest.mark.parametrize("name", sorted(NONES))
