@@ -18,18 +18,21 @@ input is a space system (delta; q_1..q_s | 1^p) and the returned threshold t0
 encodes that range: its restriction-to-quadric system is stably empty for all
 rational 0 <= t < t0.  Both reductions below read a space system only
 through p, q_count and scaled() (SystemAggregates), so the q_j
-only through their count, sum and least value, and delta, the sum and the
-least value as integers at a common scale D: a SpaceSystem computes them
-from its multiplicities with D the lcm of the denominators of delta and the
-sum, and the degeneration loop in space.py holds them at its own reduced
-scale and keeps them up to date with no Python code per specialized line.
+only through their count, sum and least value: delta and the sum as
+integers at a common scale D, and the least value as a pair of integers.
+A SpaceSystem computes them from its multiplicities with D the lcm of the
+denominators of delta and the sum; the degeneration loop in space.py holds
+them at its own reduced scale and keeps them up to date with O(1) work per
+step, however many lines are specialized.
 
 The reduction has two implementations.  quadric_threshold, the one every
 caller of t0 uses, runs on integers and returns t0 with the numbers of
 Cremona moves and merges it took; outside its loop a call builds three
-integer forms and one tuple, and makes no Fraction but t0.  One iteration
-of that loop takes one move, or in closed form a whole run of Cremona moves
-that repeat one defect k.  reference_reduction runs the same moves one at
+integer forms and one tuple, and makes no Fraction but t0.  Each form is
+held as its value at tau, a big integer, and its t-coefficient, a small
+one; the form's constant is recovered only for the terminal degree.  One
+iteration of that loop takes one move, or in closed form a whole run of
+Cremona moves that repeat one defect k.  reference_reduction runs the same moves one at
 a time on the Fraction systems below and records every state: it is the
 kernel's oracle in the tests and the trace that ``trace-t`` prints.
 
@@ -136,9 +139,10 @@ class SystemAggregates(Protocol):
     the degeneration loop's state): p, q_count and scaled(), which gives
     (D, D*delta, D*q_sum, q_min) for a positive integer D that makes both
     products integers, with q_min, the least q_j, as a pair (numerator,
-    positive denominator), or None when no line is specialized.  A
-    SpaceSystem takes D = lcm(den delta, den q_sum); the loop's state holds
-    its values at such a scale."""
+    positive denominator), not necessarily in lowest terms, or None when
+    no line is specialized.  A SpaceSystem takes D = lcm(den delta,
+    den q_sum) and q_min in lowest terms; the loop's state holds its values
+    at such a scale and gives q_min from its least line's end, unreduced."""
 
     p: int
     q_count: int
@@ -326,33 +330,44 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     with tuple.__new__: outside the per-move loop a call from the loop runs
     no Python code but tau's as_integer_ratio, scaled(), _terminal_t0 and
     t0's Fraction (tau goes through as_rational only when it is not a
-    Fraction).  A form a + b*t is held as its value v = a*td + b*tn at
-    tau = tn/td and its constant a: these determine
-    b = (v - a*td)/tn, and ordering by (v, a) is normalize's order by
-    (value, a, b).  The groups stay in normalized order: a move changes at
-    most three of them, and the forms it makes are inserted by bisection
-    when the next step begins (joining an equal form, dropping v <= 0)
-    instead of re-sorting the whole list.  The three leading units are read
-    by position from the last one, two or three groups, and the degree is
-    held as (deg_v, deg_a), so k(tau) is deg_v minus the values of those
-    units, with no multiplication by tau; the constant ka of k is formed
-    only when a Cremona move is taken.
+    Fraction).  Scaled by D, a form a/D + b*t has an integer constant a,
+    and its t-coefficient b is an integer too: the associated system's are
+    s - 4, -2, s - 2 and 0, and Cremona moves (which add k) and merges
+    (which double) keep them integers.  The form is held as (v, w): its
+    value at tau = tn/td scaled by D*td, v = a*td - w*D*tn, and w = -b, a
+    small integer; a stays implicit.  Since D*tn > 0, for equal
+    v the constant a = (v + w*D*tn)/td grows with w, so ordering by (v, w)
+    is ordering by (v, a), normalize's order by (value, a, b), and (v, w)
+    are equal exactly when (v, a) are, that is when the forms are.  The
+    groups stay in normalized order: a move changes at most three of them,
+    and the forms it makes are inserted by bisection when the next step
+    begins (joining an equal form, dropping v <= 0) instead of re-sorting
+    the whole list.  The three leading units are read by position from the
+    last one, two or three groups, and the degree is held as
+    (deg_v, deg_w), so k(tau) is deg_v minus the values of those units,
+    with no multiplication by tau, and k's second coordinate kw is a sum of
+    small integers, formed only when a Cremona move is taken.  The terminal
+    degree's constant is recovered once, by the exact division
+    a = (deg_v + deg_w*D*tn)/td, and its t-coefficient at the scale D is
+    -deg_w*D.
 
     A run of moves with one k is taken in one iteration.  Let the three
     leading units be one of the top form m and two of the form u just below
     it, which has c units, so k = deg - m - 2u.  A move leaves the degree
     deg + k, one unit of m + k, two of u + k and c - 2 of u.  Since
     k(tau) < 0, u + k lies below u; so while m + k lies strictly above u
-    in the (v, a) order and u keeps two units, these are again the leading
+    in the (v, w) order and u keeps two units, these are again the leading
     units, and the next defect is (deg + k) - (m + k) - 2u = k.  The move
     repeats, and after j of them the top form is m + j*k, u keeps c - 2j
     units and 2j units of u + k lie below it.  Move j + 1 is taken while
     2j + 2 <= c and m + j*k lies above u.  With q, r = divmod(v_m - v_u,
     -kv), m + j*k lies above u in value for j <= q when r > 0, and for j < q
-    when r = 0; at j = q the values then tie, and the constants decide:
-    a_m - a_u + q*ka > 0.  So the run has J = min(c // 2, J_order) moves,
-    with J_order = q + 1 if r > 0, else q + [a_m - a_u + q*ka > 0].  It
-    leaves the degree deg + J*k and c - 2J units of u, and pending forms
+    when r = 0; at j = q the values then tie, and the second coordinates
+    decide: m + q*k lies above u when w_m - w_u + q*kw > 0, which at
+    equal values is the sign of the difference of the two constants, as
+    shown above.  So the run has J = min(c // 2, J_order) moves, with
+    J_order = q + 1 if r > 0, else q + [w_m - w_u + q*kw > 0].  It leaves
+    the degree deg + J*k and c - 2J units of u, and pending forms
     (m + J*k, 1) and (u + k, 2J), inserted like any (either is dropped when
     its value is <= 0).  It counts J Cremona moves.  total counts the units
     in the groups: the run takes off m and 2J units of u, so it falls by
@@ -371,30 +386,29 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     if delta <= 0:
         raise ValueError("the plane reduction needs a positive degree")
     # the associated system L2(2delta - q + (s-4)t; delta - 2t,
-    # delta - q + (s-2)t, 1^2p) at the scale D, each form as (v, a)
+    # delta - q + (s-2)t, 1^2p) at the scale D, each form as (v, w)
     s, p, Dt = inp.q_count, inp.p, D * tn
-    deg_a = 2 * delta - q
-    deg_v = deg_a * td + (s - 4) * Dt
-    m2 = delta - q
-    pending = [(delta * td - 2 * Dt, delta, 1), (m2 * td + (s - 2) * Dt, m2, 1)]
+    deg_w = 4 - s
+    deg_v = (2 * delta - q) * td - deg_w * Dt
+    pending = [(delta * td - 2 * Dt, 2, 1), ((delta - q) * td + (s - 2) * Dt, 2 - s, 1)]
     if p > 0:
-        pending.append((D * td, D, 2 * p))
-    # [v, a, count] ascending by (v, a), one entry per distinct form:
+        pending.append((D * td, 0, 2 * p))
+    # [v, w, count] ascending by (v, w), one entry per distinct form:
     # normalize's order reversed, so the leading multiplicities sit at the
     # end; total counts the units kept
     groups: list[list[int]] = []
     total = 0
-    # pending: (v, a, count) of the forms a move made (at first, of the
+    # pending: (v, w, count) of the forms a move made (at first, of the
     # associated system), inserted when the next step begins
     cremonas = merges = 0
     for _ in range(MAX_STEPS):
-        for v, a, n in pending:
+        for v, w, n in pending:
             if v > 0:
-                i = bisect_left(groups, [v, a])
-                if i < len(groups) and (g := groups[i])[0] == v and g[1] == a:
+                i = bisect_left(groups, [v, w])
+                if i < len(groups) and (g := groups[i])[0] == v and g[1] == w:
                     g[2] += n
                 else:
-                    groups.insert(i, [v, a, n])
+                    groups.insert(i, [v, w, n])
                 total += n
         # lead: how many groups, from the end, hold the three leading units
         lead = 0
@@ -411,52 +425,52 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
                     g3 = groups[-3]
                     lead, kv = 3, deg_v - g1[0] - g2[0] - g3[0]
         if lead and kv < 0:
-            # the constant ka of k is needed only here; take the three leading
+            # the t-part kw of k is needed only here; take the three leading
             # units off before inserting any: a moved form may overtake one
             # that is still waiting to move
             if lead == 1:
-                ka = deg_a - 3 * g1[1]
-                pending = ((g1[0] + kv, g1[1] + ka, 3),)
+                kw = deg_w - 3 * g1[1]
+                pending = ((g1[0] + kv, g1[1] + kw, 3),)
                 if n1 > 3:
                     g1[2] = n1 - 3
                 else:
                     groups.pop()
             elif lead == 2:
                 n2 = 3 - n1
-                ka = deg_a - n1 * g1[1] - n2 * g2[1]
+                kw = deg_w - n1 * g1[1] - n2 * g2[1]
                 c = g2[2]
                 if n1 == 1 and c >= 4 and g1[0] + kv > g2[0]:
                     # a run of J >= 2 moves with this k (see the docstring)
                     q, r = divmod(g1[0] - g2[0], -kv)
-                    j = min(c // 2, q + 1 if r else q + (g1[1] - g2[1] + q * ka > 0))
-                    pending = ((g1[0] + j * kv, g1[1] + j * ka, 1), (g2[0] + kv, g2[1] + ka, 2 * j))
+                    j = min(c // 2, q + 1 if r else q + (g1[1] - g2[1] + q * kw > 0))
+                    pending = ((g1[0] + j * kv, g1[1] + j * kw, 1), (g2[0] + kv, g2[1] + kw, 2 * j))
                     groups.pop()
                     if c > 2 * j:
                         g2[2] = c - 2 * j
                     else:
                         groups.pop()
                     deg_v += j * kv
-                    deg_a += j * ka
+                    deg_w += j * kw
                     total -= 2 * j + 1
                     cremonas += j
                     continue
-                pending = ((g1[0] + kv, g1[1] + ka, n1), (g2[0] + kv, g2[1] + ka, n2))
+                pending = ((g1[0] + kv, g1[1] + kw, n1), (g2[0] + kv, g2[1] + kw, n2))
                 groups.pop()
                 if g2[2] > n2:
                     g2[2] -= n2
                 else:
                     groups.pop()
             else:
-                ka = deg_a - g1[1] - g2[1] - g3[1]
-                pending = ((g1[0] + kv, g1[1] + ka, 1), (g2[0] + kv, g2[1] + ka, 1),
-                           (g3[0] + kv, g3[1] + ka, 1))
+                kw = deg_w - g1[1] - g2[1] - g3[1]
+                pending = ((g1[0] + kv, g1[1] + kw, 1), (g2[0] + kv, g2[1] + kw, 1),
+                           (g3[0] + kv, g3[1] + kw, 1))
                 if g3[2] > 1:
                     g3[2] -= 1
                     del groups[-2:]
                 else:
                     del groups[-3:]
             deg_v += kv
-            deg_a += ka
+            deg_w += kw
             total -= 3
             cremonas += 1
         else:
@@ -479,7 +493,9 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
             f"plane reduction exceeded {MAX_STEPS} steps for delta={Fraction(delta, D)}, p={p}, "
             f"q_count={s}, q_sum={Fraction(q, D)}, q_min={q_min and Fraction(*q_min)} at tau={tau}"
         )
-    t0 = _terminal_t0(deg_a, (deg_v - deg_a * td) // tn, q_min)
+    # the terminal degree a + b*t at the scale D: a from the exact division
+    # deg_v + deg_w*Dt = a*td, and b = -deg_w*D
+    t0 = _terminal_t0((deg_v + deg_w * Dt) // td, -deg_w * D, q_min)
     return tuple.__new__(ThresholdResult, (t0, cremonas, merges, ()))
 
 

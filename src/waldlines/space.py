@@ -24,8 +24,12 @@ code reproduces take exactly these sub-tau steps.
 
 The loop does not build its states.  The loop, replay_degeneration,
 rendered_steps and DegenerationResult.steps all advance one private state,
-which keeps what the plane reduction reads as integers at one common scale
-D, reduced after every subtraction.  The loop applies the moves it picks
+which keeps the degree, the sum of the q_j and the subtracted total as
+integers at one common scale D, reduced after every subtraction, and each
+specialized line's end as its own reduced pair, fixed once the line is
+specialized; so a step does O(1) work however many lines there are.  The
+walks over a certificate reject a subtraction past the least q_j, which
+the state's arithmetic assumes.  The loop applies the moves it picks
 through the state's arithmetic directly, since its own branch already
 implies what a move needs (a positive t0 and degree, a general line left);
 the walks over a certificate go through the state's move method, which
@@ -36,9 +40,9 @@ records a compact certificate, the start (delta, s) and one (move, t0) pair
 per step; a DegenerationResult is the answer and that certificate.  The
 replay re-derives the threshold at every subtraction and checks the exit
 without building a SpaceSystem.  rendered_steps, which trace-l prints,
-writes each state's values straight from its integers, each reduced by one
-gcd into the text str(Fraction) gives; only .steps, on first read,
-materializes the states as Fractions.  It stays because
+writes each state's values straight from its integers and its lines'
+ends, each reduced by one gcd into the text str(Fraction) gives; only
+.steps, on first read, materializes the states as Fractions.  It stays because
 perfbench/layers.py::_degeneration_info and the tests read it.
 """
 
@@ -51,8 +55,6 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import floordiv, mul
 from typing import NamedTuple
 
 from .cubic import AsymptoticCubic, largest_root
@@ -98,30 +100,41 @@ def _read(step: int | None, t: object) -> Fraction:
 
 class _State:
     """A state (delta; q_1..q_m | 1^p) without its q_j, holding what the plane
-    reduction reads (plane.SystemAggregates) as integers at one scale D.  A
-    line specialized when the subtractions totalled T_j has
-    q_j = 1 - (T - T_j), and ``ends`` holds 1 + T_j, the total at which it
-    reaches zero.  New lines join last with the greatest end, so the least
-    and greatest q_j sit at the two ends and a subtraction zeroes a prefix.
-    Since t <= t0 <= q_min (the replay checks it), subtracting t lowers the
-    sum of m lines by exactly m*t.
+    reduction reads (plane.SystemAggregates).  A line specialized when the
+    subtractions totalled T_j has q_j = 1 - (T - T_j), and ``ends`` holds
+    its end 1 + T_j, the total at which it reaches zero, as its own pair
+    (numerator, denominator) in lowest terms, fixed from then on.  New lines
+    join last with the greatest end, so the least and greatest q_j sit at
+    the two ends and a subtraction zeroes a prefix.  Since t <= q_min (the
+    loop's t0 is at most q_min, and the move method checks any other t),
+    subtracting t lowers the sum of m lines by exactly m*t.
 
-    ``deg``, ``qsum``, ``total`` and ``ends`` are delta, the sum of the q_j,
-    T and the ends times D.  A subtraction whose denominator does not divide
-    D multiplies all of them by the missing factor, and every subtraction
-    then divides them by their common gcd, so D stays their least common
-    denominator."""
+    ``deg``, ``qsum`` and ``total`` are delta, the sum of the q_j and T times
+    one scale D.  A subtraction whose denominator does not divide D
+    multiplies the three and D by the missing factor, and every subtraction
+    then divides the four by their common gcd, so D stays their least
+    common denominator.  The ends are never rescaled: each step pops the
+    zeroed prefix and compares against the first and last end only, so it
+    does O(1) work however many lines are specialized."""
 
     def __init__(self, delta: Fraction, s: int) -> None:
         self.D, self.deg, self.p = delta.denominator, delta.numerator, s
         self.q_count, self.qsum, self.total, self.ends = 0, 0, 0, deque()
 
     def scaled(self) -> tuple[int, int, int, tuple[int, int] | None]:
-        return self.D, self.deg, self.qsum, (self.ends[0] - self.total, self.D) if self.ends else None
+        """q_min = e/d - total/D for the first end e/d, as the pair
+        (e*D - total*d, d*D), which need not be in lowest terms."""
+        if not self.ends:
+            return self.D, self.deg, self.qsum, None
+        e, d = self.ends[0]
+        return self.D, self.deg, self.qsum, (e * self.D - self.total * d, d * self.D)
 
     def at_q_min(self, tn: int, td: int) -> bool:
-        """Whether tn/td is the least q_j."""
-        return bool(self.ends) and tn * self.D == (self.ends[0] - self.total) * td
+        """Whether tn/td is the least q_j, e/d - total/D for the first end e/d."""
+        if not self.ends:
+            return False
+        e, d = self.ends[0]
+        return tn * d * self.D == (e * self.D - self.total * d) * td
 
     @classmethod
     def walk(cls, certificate: Certificate, tau: Fraction | None = None) -> Iterator[tuple]:
@@ -151,22 +164,32 @@ class _State:
             state.move(i, move, t, final=i == len(moves) - 1, tau=tau)
 
     def exit_yes(self) -> bool:
-        """The "yes" exit: delta <= 0, delta < 1 with p >= 1, or delta < q_max."""
+        """The "yes" exit: delta <= 0, delta < 1 with p >= 1, or delta < q_max,
+        that is (deg + total)/D < e/d for the last end e/d."""
         if self.deg <= 0 or (self.deg < self.D and self.p >= 1):
             return True
-        return bool(self.ends) and self.deg < self.ends[-1] - self.total
+        if not self.ends:
+            return False
+        e, d = self.ends[-1]
+        return (self.deg + self.total) * d < e * self.D
 
     def move(self, step: int, move: LMove, t: Fraction | None, final: bool = False,
              tau: Fraction | None = None) -> None:
         """Take step ``step`` (``final``: the last) or raise an AssertionError naming
-        it, also for a move that is not an LMove; given ``tau``, a
-        subtraction must also stay within t0 at tau.  A
-        "yes" records None and every other move a rational, which as_rational
-        reads, so a float or a None there is a TypeError naming the step."""
+        it, also for a move that is not an LMove or a subtraction past the
+        least q_j; given ``tau``, a subtraction must also stay within t0 at
+        tau.  A "yes" records None and every other move a rational, which
+        as_rational reads, so a float or a None there is a TypeError naming
+        the step."""
         if move is LMove.SUBTRACT:
             t = None if t is None else _read(step, t)
             if t is None or t.numerator <= 0 or self.deg <= 0:  # a Fraction's sign
                 raise AssertionError(f"step {step}: subtraction of {t} from degree {_ratio(self.deg, self.D)}")
+            if self.ends:
+                qn, qd = self.scaled()[3]
+                if t.numerator * qd > qn * t.denominator:
+                    raise AssertionError(
+                        f"step {step}: subtraction of {t} exceeds the least multiplicity {_ratio(qn, qd)}")
             if tau is not None:
                 t0 = quadric_threshold(self, tau).t0
                 if t.numerator * t0.denominator > t0.numerator * t.denominator:
@@ -188,38 +211,35 @@ class _State:
             _read(step, t)
 
     def _specialize(self) -> None:
-        """Specialize one general line (p > 0): it joins last with q = 1."""
+        """Specialize one general line (p > 0): it joins last with q = 1, so
+        its end is (total + D)/D."""
         self.p -= 1
         self.q_count += 1
         self.qsum += self.D
-        self.ends.append(self.total + self.D)
+        g = math.gcd(self.total, self.D)
+        self.ends.append(((self.total + self.D) // g, self.D // g))
 
     def _subtract(self, tn: int, td: int) -> None:
-        """Subtract t = tn/td (in lowest terms, 0 < t <= q_min): scale by the
-        factor f that td adds to D, then divide by the common gcd g.
-
-        g is prime to f: a prime of f divides td more often than D, so it
-        does not divide the new total D*f*(T + t).  So g divides each end
-        before it is scaled, and the ends' gcd and rescale run in C, with
-        no Python code per line."""
+        """Subtract t = tn/td (in lowest terms, 0 < t <= q_min): scale D, deg,
+        qsum and total by the factor f that td adds to D, pop the ends the
+        new total reaches, then divide the four by their common gcd.  The
+        surviving ends are left as they are."""
         g = math.gcd(self.D, td)
         f, t = td // g, tn * (self.D // g)  # t at the scale D*f
         D, total = self.D * f, self.total * f + t
         deg, qsum = self.deg * f - 2 * t, self.qsum * f - self.q_count * t
         ends = self.ends
-        while ends and ends[0] * f <= total:
+        while ends and ends[0][0] * D <= total * ends[0][1]:
             ends.popleft()
         g = math.gcd(D, deg, qsum, total)
-        if g > 1:
-            g = math.gcd(g, *ends)
-        if f != 1 or g != 1:
-            self.ends = deque(map(mul, map(floordiv, ends, repeat(g)), repeat(f)))
         self.D, self.deg, self.qsum, self.total = D // g, deg // g, qsum // g, total // g
-        self.q_count = len(self.ends)
+        self.q_count = len(ends)
 
     def system(self) -> SpaceSystem:
+        """The state with its q_j = e/d - total/D built from the ends."""
         D, total = self.D, self.total
-        return SpaceSystem(Fraction(self.deg, D), tuple(Fraction(e - total, D) for e in self.ends), self.p)
+        qs = tuple(Fraction(e * D - total * d, d * D) for e, d in self.ends)
+        return SpaceSystem(Fraction(self.deg, D), qs, self.p)
 
 
 @dataclass(frozen=True)
@@ -380,6 +400,6 @@ def rendered_steps(result: DegenerationResult) -> Iterator[RenderedStep]:
     read."""
     for _, state, move, t in _State.walk(result.certificate):
         D, total = state.D, state.total
-        yield RenderedStep(_ratio(state.deg, D), [_ratio(e - total, D) for e in state.ends],
+        yield RenderedStep(_ratio(state.deg, D), [_ratio(e * D - total * d, d * D) for e, d in state.ends],
                            state.p, None if t is None else str(t), move)
 

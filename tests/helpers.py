@@ -212,12 +212,17 @@ def aggregates(system: SystemAggregates) -> tuple:
 
 def check_walk_against_explicit_states(res: DegenerationResult) -> None:
     """Assert that the shared walk of ``res.certificate`` agrees with
-    :func:`explicit_states` at every step: the materialized system, the
-    aggregates the plane reduction reads and the exit test, and that the
-    state's scale D is reduced: no factor divides D and all its values."""
+    :func:`explicit_states` at every step: each q_j, the materialized
+    system, the aggregates the plane reduction reads and the exit test.
+    Also that the state is reduced: no factor divides D, deg, qsum and
+    total, and each end is a pair in lowest terms with a positive
+    denominator."""
     walk = zip(_State.walk(res.certificate), explicit_states(res.certificate))
     for n, ((i, state, _, _), want) in enumerate(walk, start=1):
-        assert math.gcd(state.D, state.deg, state.qsum, state.total, *state.ends) == 1, i
+        assert math.gcd(state.D, state.deg, state.qsum, state.total) == 1, i
+        assert all(d > 0 and math.gcd(e, d) == 1 for e, d in state.ends), i
+        D, total = state.D, state.total
+        assert [Fraction(e, d) - Fraction(total, D) for e, d in state.ends] == list(want.specialized), i
         assert state.system() == want, i
         assert aggregates(state) == aggregates(want), i
         assert state.exit_yes() is explicit_exit(want), i

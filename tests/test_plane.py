@@ -338,24 +338,76 @@ class TestKernelOracle:
         with pytest.raises(IterationLimitError):
             quadric_threshold(inp, tau)
 
-    def test_matches_stepwise_kernel_on_every_loop_call(self, monkeypatch):
-        # the Fraction reference is too slow to run on every kernel call of
-        # these certifications; the kernel that takes one move per iteration
-        # is not
+    @staticmethod
+    def checked_loop_calls(monkeypatch, starts) -> list:
+        """Certify each (delta, s) of ``starts``, checking every kernel call
+        against the step-by-step kernel; return the results."""
         kernel, calls = space.quadric_threshold, []
 
         def checked(inp, tau):
             got = kernel(inp, tau)
             assert helpers.outcome(got) == helpers.outcome(helpers.stepwise_quadric_threshold(inp, tau))
-            calls.append(got.cremona)
+            calls.append(got)
             return got
 
         monkeypatch.setattr(space, "quadric_threshold", checked)
-        for delta, s in GOLDEN_DIGEST_CASES + [(F("11.569"), 50), (F("16.636"), 100)]:
+        for delta, s in starts:
             certify_lower_bound(delta, s, TAU)
+        return calls
+
+    def test_matches_stepwise_kernel_on_every_loop_call(self, monkeypatch):
+        # the Fraction reference is too slow to run on every kernel call of
+        # these certifications; the kernel that takes one move per iteration
+        # is not
+        calls = self.checked_loop_calls(monkeypatch, GOLDEN_DIGEST_CASES + [(F("11.569"), 50), (F("16.636"), 100)])
         # the kernel calls these runs make, all checked, and their Cremona
         # moves
-        assert (len(calls), sum(calls)) == (5174, 133178)
+        assert (len(calls), sum(got.cremona for got in calls)) == (5174, 133178)
+
+    def test_matches_stepwise_kernel_at_s_200(self, monkeypatch):
+        # the step-by-step kernel orders its forms by (value, constant), the
+        # kernel by (value, -t-coefficient); one certification at the s = 200
+        # row value checks that order and the terminal constant's recovery
+        # on every kernel call, with t0 denominators of over 1,600 bits
+        calls = self.checked_loop_calls(monkeypatch, [(F("23.8"), 200)])
+        assert len(calls) == 3437
+        assert max(got.t0.denominator.bit_length() for got in calls) > 1600
+
+    def test_tie_sweep_at_coarse_tau(self, monkeypatch):
+        # at tau = 1, 1/2 and 1/3 small integer inputs often give distinct
+        # forms one value, which both kernels order by their second key, and
+        # runs of Cremona moves that end in a tie, which the kernel decides
+        # by the sign of w_m - w_u + q*kw; the benchmark's certify cases
+        # reach such ties too rarely to guard the rule
+        ties = run_ties = 0
+
+        def counting_normalize(sys, tau):
+            # a tie: two kept, unequal forms with one value at tau
+            nonlocal ties
+            out = normalize(sys, tau)
+            values = [form(tau) for form, _ in out.groups]
+            ties += any(x == y for x, y in zip(values, values[1:]))
+            return out
+
+        def counting_divmod(a, b):
+            # the kernel's only divmod splits a run's order bound; r = 0 is a tie
+            nonlocal run_ties
+            q, r = divmod(a, b)
+            run_ties += r == 0
+            return q, r
+
+        monkeypatch.setattr(plane, "normalize", counting_normalize)
+        monkeypatch.setattr(plane, "divmod", counting_divmod, raising=False)
+        rng = random.Random(20261)
+        for _ in range(3000):
+            qs = tuple(F(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(rng.randint(0, 5)))
+            inp = SpaceSystem(F(rng.randint(1, 24)), qs, rng.randint(0, 12))
+            tau = rng.choice((F(1), F(1, 2), F(1, 3)))
+            want = helpers.outcome(reference_reduction(inp, tau))
+            assert helpers.outcome(quadric_threshold(inp, tau)) == want, (inp, tau)
+            assert helpers.outcome(helpers.stepwise_quadric_threshold(inp, tau)) == want, (inp, tau)
+        # 1,350 reference reductions meet a tie, and 98 runs end in one
+        assert ties >= 1000 and run_ties >= 90
 
 
 class TestIterationLimit:

@@ -137,16 +137,22 @@ FORGED = {
     # the golden (4; 1^8) certificate with its first move a plain string
     "unknown-move": (True, (F(4), 8, (("specialize", F(0)),) + GOLDEN_MOVES[1:]),
                      "step 0: unknown move 'specialize'"),
-    # certificates and steps of the wrong shape (SHAPES)
+    # certificates and steps of the wrong shape (EVERY_WALK_REFUSES)
     "no-moves": (True, (F(4), 8), "^start: a certificate is a triple"),
     "moves-None": (True, (F(4), 8, None), "^start: the moves None are not a tuple or list$"),
     "step-one-field": (True, (F(4), 8, GOLDEN_MOVES[:3] + ((SUB,),) + GOLDEN_MOVES[4:]),
                        "^step 3: .* is not a pair"),
     "step-three-fields": (True, (F(4), 8, GOLDEN_MOVES[:3] + ((SUB, F(4, 7), None),) + GOLDEN_MOVES[4:]),
                           "^step 3: .* is not a pair"),
+    # (3; 1 | 1) cannot lose 5/2 from its line of multiplicity 1; the state's
+    # arithmetic assumes t <= q_min, so every walk refuses it before any
+    # threshold is asked for
+    "past-least-multiplicity": (True, (F(3), 2, ((SPEC, F(0)), (SUB, F(5, 2)), (YES, None))),
+                                "^step 1: subtraction of 5/2 exceeds the least multiplicity 1$"),
 }
 # the FORGED cases that every walk over a certificate refuses, not only the replay
-SHAPES = ("empty", "no-moves", "moves-None", "step-one-field", "step-three-fields")
+EVERY_WALK_REFUSES = ("empty", "no-moves", "moves-None", "step-one-field", "step-three-fields",
+                      "past-least-multiplicity")
 # name -> (answer, certificate) with a float where a rational belongs, which
 # replay_degeneration and .steps must refuse with a TypeError
 FLOATED = {
@@ -205,7 +211,7 @@ class TestDegeneration:
         with pytest.raises(AssertionError, match=message):
             replay_degeneration(DegenerationResult(answer, certificate), TAU)
 
-    @pytest.mark.parametrize("name", SHAPES)
+    @pytest.mark.parametrize("name", EVERY_WALK_REFUSES)
     def test_walks_reject_malformed_certificates(self, name):
         answer, certificate, message = FORGED[name]
         result = DegenerationResult(answer, certificate)
@@ -280,6 +286,22 @@ class TestDegeneration:
         # against the oracle's explicit q_j, aggregates and exit included
         for delta, s in GOLDEN_DIGEST_CASES if cases == "digest" else CERTIFY_CASES:
             helpers.check_walk_against_explicit_states(certify_lower_bound(delta, s, TAU))
+
+    def test_subtraction_keeps_the_surviving_ends(self):
+        # a subtraction pops the lines it zeroes and leaves every other end
+        # as it was, the same pair object, so a step does O(1) work however
+        # many lines are specialized
+        res = certify_lower_bound(F("16.636"), 100, TAU)
+        before, kept = None, 0
+        for _, state, move, _ in space._State.walk(res.certificate):
+            if before is not None:
+                after = list(state.ends)
+                assert len(after) <= len(before)
+                assert all(x is y for x, y in zip(after, before[len(before) - len(after):]))
+                kept += len(after)
+            before = list(state.ends) if move is SUB else None
+        # 1,556 subtractions keep 24,547 ends between them
+        assert kept == 24547
 
     def test_thresholds_match_reference_reduction(self):
         # the replay re-derives t0 with the integer kernel; sample the
