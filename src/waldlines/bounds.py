@@ -34,9 +34,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Unused here, but cli.py calls bounds.largest_root(bounds.AsymptoticCubic(s), ...)
-# and the benchmark tracer rebinds bounds.largest_root, so both stay importable.
-from .cubic import AsymptoticCubic, largest_root
+# Unused here, but the benchmark tracer rebinds bounds.largest_root, so it
+# stays importable.
+from .cubic import largest_root
 from .linform import RationalLike, as_rational
 from .space import certify_lower_bound
 

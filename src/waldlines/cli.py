@@ -11,9 +11,9 @@
 
 `bound` and `table` take --tau --grid --precision --cache --format --no-l;
 `trace-t` and `trace-l` take --tau --json; `verify` takes --tau (thm4),
---precision (invariants), --max-s (chudnovsky, invariants) and --range (thm4),
-and checks only the flags its target reads.  Rationals on the command line
-are positive and written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
+--max-s (chudnovsky, invariants) and --range (thm4), and checks only the
+flags its target reads.  Rationals on the command line are positive and
+written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
 Integers (s, line counts, --max-s, the ends of --range) are ASCII digits, with
 no sign or underscore; a malformed literal is reported with its position.
 An argument that starts with "-" and a digit or "." is read as a value, so
@@ -27,9 +27,8 @@ rendered from its coefficients' numerators and denominators.
 `trace-l` walks the certificate once and prints each state straight from
 the walk's integers (space.rendered_steps), building no Fraction per value.
 `verify invariants` decides each lower bound v <= e_s exactly from the sign
-of the cubic at v (cubic.half_at_most_e_s).  Only when that fails does it
-enclose e_s and compare v with the top, hi + precision, by cross-multiplying
-integers; since e_s <= hi, the verdict is that comparison's.
+of the cubic at v (cubic.half_at_most_e_s, whose docstring proves that no
+bound exceeds e_s past s = 19), and encloses no root.
 The search bound alone is cached, under (s, tau, grid, source fingerprint);
 every other report field is recomputed, and --no-l never opens the cache.
 Exit status is 0 when every requested check passed, 1 on violations, 2 on
@@ -275,12 +274,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f" (range {lo}..{hi}, exceptions: {exceptions or 'none'})"
         )
     else:
-        max_s = _max_s(args)
-        failures = _verify_invariants(max_s, _parse_rational_arg(args.precision, what="precision"))
+        failures = _verify_invariants(_max_s(args))
     return 0 if failures == 0 else 1
 
 
-def _verify_invariants(max_s: int, precision: Fraction) -> int:
+def _verify_invariants(max_s: int) -> int:
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -302,23 +300,16 @@ def _verify_invariants(max_s: int, precision: Fraction) -> int:
             for s, a in zip(range(1, max_s + 1), am)
         ),
     )
-    # w is the greatest lower bound doubled, so that chudnovsky_bound(s) =
-    # (am + 1)/2 is an integer too.  w/2 <= e_s is decided exactly from the
-    # cubic's sign; only a w that fails that is held against the top of the
-    # enclosure, cross-multiplied: w * hd * pd <= 2(hn*pd + pn*hd).  Since
-    # e_s <= hi, the verdict is the enclosure test's alone.
-    pn, pd = precision.numerator, precision.denominator
-    ok = True
-    for s in range(1, max_s + 1):
-        w = max(2 * sq[s - 1], 2 * rt[s - 1], 2 * dg[s - 1], am[s - 1] + 1)
-        if half_at_most_e_s(w, s):
-            continue
-        root = bounds.largest_root(bounds.AsymptoticCubic(s), precision)
-        hn, hd = root.hi.numerator, root.hi.denominator
-        if w * hd * pd > 2 * (hn * pd + pn * hd):
-            ok = False
-            break
-    check("every lower bound is at most e_s", ok)
+    # The greatest lower bound is taken doubled, so that chudnovsky_bound(s)
+    # = (a + 1)/2 is an integer too.  half_at_most_e_s decides w/2 <= e_s
+    # exactly, and its docstring proves that it holds for every s >= 20.
+    check(
+        "every lower bound is at most e_s",
+        all(
+            half_at_most_e_s(max(2 * q, 2 * r, 2 * d, a + 1), s)
+            for s, q, r, d, a in zip(range(1, max_s + 1), sq, rt, dg, am)
+        ),
+    )
     small_ok = True
     for s in range(1, min(max_s, 5) + 1):
         cap = bounds.small_waldschmidt(s)
@@ -354,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tau = argparse.ArgumentParser(add_help=False)
     tau.add_argument("--tau", default="1/1000", help="ordering parameter (default 1/1000)")
-    precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision", default="1/1000000", help="root enclosure width")
-    reports = argparse.ArgumentParser(add_help=False, parents=[tau, precision])
+    reports = argparse.ArgumentParser(add_help=False, parents=[tau])
+    reports.add_argument("--precision", default="1/1000000", help="root enclosure width")
     reports.add_argument("--grid", default="1/1000", help="search step (default 1/1000)")
     reports.add_argument("--cache", default=None, help="cache file path")
     reports.add_argument("--format", dest="fmt", choices=("csv", "json", "md"), default="md")
@@ -380,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_trace_l)
 
-    p = sub.add_parser("verify", parents=[tau, precision], help="exact verification sweeps")
+    p = sub.add_parser("verify", parents=[tau], help="exact verification sweeps")
     p.add_argument("target", choices=("chudnovsky", "thm4", "invariants"))
     p.add_argument("--max-s", default="1000", help="largest s (chudnovsky, invariants)")
     p.add_argument("--range", default="11..60", help="s range for thm4, e.g. 11..60")

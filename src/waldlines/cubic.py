@@ -118,6 +118,23 @@ def half_at_most_e_s(w: int | Fraction, s: int) -> bool:
     <= 0, so e_s >= sqrt(s), and right of sqrt(s) the cubic increases.  So
     w/2 <= e_s iff w <= 0, or w^2 <= 4s (w/2 <= sqrt(s)), or cubic(w/2) <= 0,
     where 8 * cubic(w/2) = w^3 - 12sw + 16s.
+
+    For s >= 20 it holds with w/2 any lower bound of waldlines.bounds, so
+    `verify invariants`, which checks it for each s up to --max-s, proves
+    "every lower bound is at most e_s" for every s once --max-s >= 19.
+    With phi = (1 + sqrt 5)/2:
+
+      * every bound is at most phi*sqrt(s).  plane_degeneration_bound's q
+        has q <= k + sqrt(s - k) <= k + sqrt(s) and k <= s/q, so
+        q^2 - sqrt(s)q - s <= 0, i.e. q <= phi*sqrt(s).  The square and
+        sqrt bounds are at most sqrt(2s), and (alpha_max + 1)/2 is below
+        sqrt(6s)/2 < sqrt(2s);
+      * e_s > sqrt(3s) - 1/2 for s >= 2.  That point lies right of sqrt(s),
+        and the cubic there is -s + (3/4)sqrt(3s) - 1/8, which is negative
+        since (8s + 1)^2 > 108s for s >= 2;
+      * phi*sqrt(s) <= sqrt(3s) - 1/2 iff (sqrt 3 - phi)sqrt(s) >= 1/2, iff
+        s >= 1/(4(sqrt 3 - phi)^2) ~ 19.2: it holds from s = 20 on, and
+        fails at 19.
     """
     return w <= 0 or w * w <= 4 * s or w * (w * w - 12 * s) + 16 * s <= 0
 

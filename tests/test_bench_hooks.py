@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from waldlines import bounds, cli, plane, space
+from waldlines import bounds, cli, cubic, plane, space
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -46,9 +46,9 @@ def test_tracer_installs_and_restores():
     assert summaries == [(True, 10, 4, 23)]
 
 
-def root_spans(layers, argv: list[str]) -> int:
+def root_spans(layers, argv: list[str], code: int = 0) -> int:
     with layers.traced() as tracer:
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == code
     return sum(1 for span in tracer.spans if span[0] == "cubic.largest_root")
 
 
@@ -57,17 +57,14 @@ def test_largest_root_spans_one_per_root(tmp_path, monkeypatch):
     # counts cubic.largest_root.calls from the spans: one per root enclosed.
     # A new private binding would drop spans, a recursive call add them.
     layers = load_layers()
-    # verify invariants decides every bound that holds from the cubic's sign
-    # and encloses no root for it
+    # verify invariants decides every bound from the cubic's sign and
+    # encloses no root, whether the bound holds or, just above e_s at
+    # s = 20, as in test_invariants_bound_at_e_s, fails
     assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 0
-    # a bound above e_s at s = 20, at the top of its enclosure as in
-    # test_invariants_bound_at_the_enclosure_top, is held against the
-    # enclosure, through the bounds binding
-    precision = F(1, 10**6)  # verify's default --precision
-    top = bounds.largest_root(bounds.AsymptoticCubic(20), precision).hi + precision
+    above = cubic.largest_root(cubic.AsymptoticCubic(20), F(1, 10**6)).hi
     closed_form = bounds.plane_degeneration_bound
-    monkeypatch.setattr(bounds, "plane_degeneration_bound", lambda n: top if n == 20 else closed_form(n))
-    assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 1
+    monkeypatch.setattr(bounds, "plane_degeneration_bound", lambda n: above if n == 20 else closed_form(n))
+    assert root_spans(layers, ["verify", "invariants", "--max-s", "20"], code=1) == 0
     monkeypatch.undo()
     # the report binding: one enclosure per s reported
     cache = str(tmp_path / "c.json")

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from waldlines.bounds import (
     square_specialization_bound,
     strong_sqrt_check,
 )
+from waldlines.cubic import half_at_most_e_s
 
 TAU = F(1, 1000)
 
@@ -87,6 +89,21 @@ def brute_alpha_max(s: int) -> int:
     while (a + 3) * (a + 2) <= 6 * s:
         a += 1
     return a
+
+
+@functools.cache
+def doubled_greatest_bounds() -> tuple[int, ...]:
+    """Twice the greatest closed-form lower bound at each s = 1..100,000, as
+    verify invariants takes it: doubled, (alpha_max(s) + 1)/2 is an integer."""
+    return tuple(
+        max(
+            2 * square_specialization_bound(s),
+            2 * sqrt_lower_bound(s),
+            2 * plane_degeneration_bound(s),
+            alpha_max(s) + 1,
+        )
+        for s in range(1, 100_001)
+    )
 
 
 class TestSquareSpecialization:
@@ -195,6 +212,35 @@ class TestChudnovsky:
         # (alpha_max(s) + 1)/2 for s >= 20, and below 20 fails only at s = 2
         assert all(2 * math.isqrt(2 * s - 1) >= alpha_max(s) + 1 for s in range(20, 100_001))
         assert [s for s in range(1, 20) if 2 * math.isqrt(2 * s - 1) < alpha_max(s) + 1] == [2]
+
+    def test_e_s_tail_proof(self):
+        # what the cubic.half_at_most_e_s docstring proves, in integers: from
+        # s = 20 on, every bound is at most phi*sqrt(s) < sqrt(3s) - 1/2 < e_s.
+        # w/2 <= phi*sqrt(s) iff w - sqrt(s) <= sqrt(5s), iff w^2 <= 4s or
+        # (w^2 - 4s)^2 <= 4w^2 s
+        for s, w in enumerate(doubled_greatest_bounds(), start=1):
+            assert w * w <= 4 * s or (w * w - 4 * s) ** 2 <= 4 * w * w * s, s
+        # the cubic at sqrt(3s) - 1/2 is -s + (3/4)sqrt(3s) - 1/8 < 0 iff
+        # (8s + 1)^2 > 108s, which fails only at s = 1
+        assert [s for s in range(1, 100_001) if (8 * s + 1) ** 2 <= 108 * s] == [1]
+        # phi*sqrt(s) <= sqrt(3s) - 1/2 from s = 20 on, and not at 19.  Times
+        # 2n these are n*sqrt(s) + n*sqrt(5s) and 2n*sqrt(3s) - n, and each
+        # n*sqrt(x) is rounded to an integer the way that makes the claim harder
+        n = 10**6
+
+        def down(x):
+            return math.isqrt(n * n * x)
+
+        def up(x):
+            return math.isqrt(n * n * x - 1) + 1
+
+        assert all(up(s) + up(5 * s) <= 2 * down(3 * s) - n for s in range(20, 100_001))
+        assert down(19) + down(5 * 19) > 2 * up(3 * 19) - n
+
+    def test_every_bound_at_most_e_s(self):
+        # the exact verdict of verify invariants holds at every s <= 100,000;
+        # with the tail proof, at every s
+        assert all(half_at_most_e_s(w, s) for s, w in enumerate(doubled_greatest_bounds(), start=1))
 
     def test_s2_needs_square_bound(self):
         assert sqrt_lower_bound(2) == 1

@@ -15,7 +15,7 @@ from waldlines import bounds, cli, plane, report, space
 from waldlines.cache import ResultCache, cache_key
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
-from waldlines.cubic import AsymptoticCubic, largest_root
+from waldlines.cubic import AsymptoticCubic, half_at_most_e_s, largest_root
 from helpers import parse_linform
 from waldlines.linform import as_rational
 from waldlines.plane import SpaceSystem
@@ -466,13 +466,15 @@ class TestUsageErrors:
             ["trace-t", "7;1,1,1,1,1;15", "--grid", "1/7"],
             ["trace-l", "4;8", "--format", "csv"],
             ["verify", "thm4", "--cache", "x.json"],
+            # the invariants' verdict is exact: no verify target reads a width
+            ["verify", "invariants", "--precision", "1/10"],
         ],
     )
     def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestSharedParser:
@@ -605,27 +607,17 @@ class TestVerify:
         assert code == 0
         assert out.count("pass") >= 5
 
-    def test_invariants_enclose_no_root_when_every_bound_holds(self, capsys, monkeypatch):
-        # every lower bound is at most e_s, decided from the cubic's sign
-        def no_enclosure(*args):
-            raise AssertionError("largest_root called though every bound holds")
-
-        monkeypatch.setattr(bounds, "largest_root", no_enclosure)
-        code, out, _ = run(capsys, "verify", "invariants", "--max-s", "200")
-        assert code == 0
-        assert "pass  every lower bound is at most e_s" in out.splitlines()
-
-    @pytest.mark.parametrize("above, mark, code", [(0, "pass", 0), (F(1, 10**40), "FAIL", 1)])
-    def test_invariants_bound_at_the_enclosure_top(self, capsys, monkeypatch, above, mark, code):
-        # a lower bound may reach the top of e_s's enclosure, root.hi +
-        # precision, and no further
-        s, precision = 20, F(1, 1000)
-        top = largest_root(AsymptoticCubic(s), precision).hi + precision
+    @pytest.mark.parametrize("end, mark, code", [("lo", "pass", 0), ("hi", "FAIL", 1)])
+    def test_invariants_bound_at_e_s(self, capsys, monkeypatch, end, mark, code):
+        # a lower bound may reach e_s and no further: at s = 20 a bound just
+        # below e_s passes and one just above it fails, 10^-40 apart
+        s = 20
+        bracket = largest_root(AsymptoticCubic(s), F(1, 10**40))
+        v = getattr(bracket, end)
+        assert half_at_most_e_s(2 * v, s) is (code == 0)
         closed_form = bounds.plane_degeneration_bound
-        monkeypatch.setattr(
-            bounds, "plane_degeneration_bound", lambda n: top + above if n == s else closed_form(n)
-        )
-        got = run(capsys, "verify", "invariants", "--max-s", str(s), "--precision", str(precision))
+        monkeypatch.setattr(bounds, "plane_degeneration_bound", lambda n: v if n == s else closed_form(n))
+        got = run(capsys, "verify", "invariants", "--max-s", str(s))
         assert got[0] == code
         assert f"{mark}  every lower bound is at most e_s" in got[1].splitlines()
         assert got[1].count("FAIL") == 2 * code  # the check's line and the summary
@@ -660,7 +652,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "chudnovsky", "--precision", "0"],
+            ["verify", "chudnovsky", "--tau", "0"],
             ["verify", "thm4", "--max-s", "0", "--range", "11..12"],
         ],
     )

@@ -1,11 +1,14 @@
 """The README's "Library quick start" block runs and gives the values its
-comments state, so a rename in the API it calls cannot leave it stale."""
+comments state, and its flag table lists the CLI's options, so a rename in
+the API or the CLI cannot leave it stale."""
 
+import argparse
 import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import waldlines
+from waldlines import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +36,20 @@ def test_package_exports_the_quick_start():
     assert sorted(imported | {"__version__"}) == sorted(waldlines.__all__)
     for name in waldlines.__all__:
         assert getattr(waldlines, name) is not None
+
+
+def test_flag_table_lists_each_subcommands_options():
+    # the "| subcommand | flags |" table names every subcommand once, with
+    # exactly the long options its parser accepts, --help aside
+    table = README.read_text().split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        _, names, flags, _ = row.split("|")
+        for name in re.findall(r"`([a-z-]+)`", names):
+            listed[name] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {opt for action in parser._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert listed == accepted
