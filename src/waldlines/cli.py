@@ -10,9 +10,10 @@
     waldlines verify invariants --max-s 200
 
 `bound` and `table` take --tau --grid --precision --cache --format --no-l;
-`trace-t` and `trace-l` take --tau --json; `verify` takes --tau (thm4),
---max-s (chudnovsky, invariants) and --range (thm4), and checks only the
-flags its target reads.  Rationals on the command line are positive and
+`trace-t` and `trace-l` take --tau --json.  The targets of `verify` are
+subcommands of their own: `chudnovsky` and `invariants` take --max-s, and
+`thm4` takes --tau --range.  A flag that a (sub)command does not read is a
+usage error.  Rationals on the command line are positive and
 written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
 Integers (s, line counts, --max-s, the ends of --range) are ASCII digits, with
 no sign or underscore; a malformed literal is reported with its position.
@@ -244,41 +245,40 @@ def _max_s(args: argparse.Namespace) -> int:
     return _count_at(args.max_s, args.max_s, 0, "--max-s", 1)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    """Run one sweep; only the flags its target reads are parsed."""
+def cmd_verify_chudnovsky(args: argparse.Namespace) -> int:
+    max_s = _max_s(args)
+    violations = bounds.chudnovsky_verify(max_s)
+    for v in violations:
+        print(f"FAIL {v}")
+    print(
+        f"chudnovsky: {'pass' if not violations else 'FAIL'}"
+        f" (s <= {max_s}, {len(violations)} violations)"
+    )
+    return 0 if not violations else 1
+
+
+def cmd_verify_thm4(args: argparse.Namespace) -> int:
+    tau = _tau(args)
+    lo, hi = _parse_range(args.range)
     failures = 0
-    if args.target == "chudnovsky":
-        max_s = _max_s(args)
-        violations = bounds.chudnovsky_verify(max_s)
-        for v in violations:
-            print(f"FAIL {v}")
-        print(
-            f"chudnovsky: {'pass' if not violations else 'FAIL'}"
-            f" (s <= {max_s}, {len(violations)} violations)"
-        )
-        failures = len(violations)
-    elif args.target == "thm4":
-        tau = _tau(args)
-        lo, hi = _parse_range(args.range)
-        exceptions: list[int] = []
-        for s in range(lo, hi + 1):
-            status = bounds.strong_sqrt_check(s, tau)
-            mark = "ok" if status.holds else ("exception" if status.method == "known-exception" else "FAIL")
-            if not status.holds and status.method == "known-exception":
-                exceptions.append(s)
-            elif not status.holds:
-                failures += 1
-            print(f"s={s}: floor(sqrt(2.5s))={math.isqrt(5 * s // 2)} {mark} [{status.method}]")
-        print(
-            f"thm4: {'pass' if failures == 0 else 'FAIL'}"
-            f" (range {lo}..{hi}, exceptions: {exceptions or 'none'})"
-        )
-    else:
-        failures = _verify_invariants(_max_s(args))
+    exceptions: list[int] = []
+    for s in range(lo, hi + 1):
+        status = bounds.strong_sqrt_check(s, tau)
+        mark = "ok" if status.holds else ("exception" if status.method == "known-exception" else "FAIL")
+        if not status.holds and status.method == "known-exception":
+            exceptions.append(s)
+        elif not status.holds:
+            failures += 1
+        print(f"s={s}: floor(sqrt(2.5s))={math.isqrt(5 * s // 2)} {mark} [{status.method}]")
+    print(
+        f"thm4: {'pass' if failures == 0 else 'FAIL'}"
+        f" (range {lo}..{hi}, exceptions: {exceptions or 'none'})"
+    )
     return 0 if failures == 0 else 1
 
 
-def _verify_invariants(max_s: int) -> int:
+def cmd_verify_invariants(args: argparse.Namespace) -> int:
+    max_s = _max_s(args)
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -317,7 +317,7 @@ def _verify_invariants(max_s: int) -> int:
             small_ok = False
     check("small-s bounds respect known exact values", small_ok)
     print(f"invariants: {'pass' if failures == 0 else 'FAIL'} (s <= {max_s})")
-    return failures
+    return 0 if failures == 0 else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -370,11 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_trace_l)
 
-    p = sub.add_parser("verify", parents=[tau], help="exact verification sweeps")
-    p.add_argument("target", choices=("chudnovsky", "thm4", "invariants"))
-    p.add_argument("--max-s", default="1000", help="largest s (chudnovsky, invariants)")
-    p.add_argument("--range", default="11..60", help="s range for thm4, e.g. 11..60")
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", help="exact verification sweeps")
+    targets = verify.add_subparsers(dest="target", required=True)
+    max_s = argparse.ArgumentParser(add_help=False)
+    max_s.add_argument("--max-s", default="1000", help="largest s (default 1000)")
+
+    p = targets.add_parser("chudnovsky", parents=[max_s], help="the Chudnovsky-type chain for s <= --max-s")
+    p.set_defaults(func=cmd_verify_chudnovsky)
+
+    p = targets.add_parser("thm4", parents=[tau], help="the bound floor(sqrt(2.5 s)) for each s in --range")
+    p.add_argument("--range", default="11..60", help="s range a..b (default 11..60)")
+    p.set_defaults(func=cmd_verify_thm4)
+
+    p = targets.add_parser("invariants", parents=[max_s], help="the bounds' invariants for s <= --max-s")
+    p.set_defaults(func=cmd_verify_invariants)
 
     return ap
 

@@ -160,13 +160,6 @@ def largest_root(cubic: AsymptoticCubic, precision: RationalLike) -> RootBracket
     min_sign = s**3 - (s + k) ** 2  # sign of -(minimum value) at t = sqrt(s)
     if min_sign < 0:
         return None  # minimum is positive: no root at or beyond t = 1
-    if min_sign == 0:
-        # Minimum value is exactly 0; s^3 a perfect square forces s square,
-        # so the double root sqrt(s) is an exact integer (e.g. s=1, k=0).
-        r = math.isqrt(s)
-        assert r * (r * r - 3 * s) + c == 0
-        x = Fraction(r)
-        return RootBracket(x, x)
 
     assert hi_end * (hi_end * hi_end - 3 * s) + c > 0
     for j in range(hi_end - 1, 0, -1):

@@ -12,6 +12,7 @@ EPS = F(1, 10**6)
 PRECISIONS = (F(2), F(1), F(1, 3), F(3, 7), F(1, 10), F(1, 1000), EPS)
 # (s, k) reaching each branch of largest_root
 NO_ROOT = ((1, 1), (2, 1))
+# a zero minimum: the double root sqrt(s) is found as an integer root
 EXACT_MINIMUM = ((1, 0), (4, 4))
 INTEGER_ROOT = ((2, 0), (7, 11))
 ZERO_LEFT_OF_DIP = ((5, 6), (6, 8), (11, 25))
@@ -47,9 +48,11 @@ class TestLargestRoot:
         assert root.lo == root.hi == 2
 
     def test_exact_double_root_with_correction(self):
-        # t^3 - 12t + 16 = (t - 2)^2 (t + 4)
-        root = largest_root(AsymptoticCubic(4, 4), EPS)
-        assert root.lo == root.hi == 2
+        # s = r^2, k = r^3 - r^2: t^3 - 3r^2 t + 2r^3 = (t - r)^2 (t + 2r),
+        # e.g. t^3 - 12t + 16 = (t - 2)^2 (t + 4)
+        for r in range(1, 61):
+            root = largest_root(AsymptoticCubic(r * r, r**3 - r * r), EPS)
+            assert root.lo == root.hi == r, r
 
     def test_no_root_above_one(self):
         # t^3 - 6t + 6 only vanishes near -2.85

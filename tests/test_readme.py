@@ -38,18 +38,27 @@ def test_package_exports_the_quick_start():
         assert getattr(waldlines, name) is not None
 
 
+def leaf_options(parser: argparse.ArgumentParser, name: str = "") -> dict[str, set[str]]:
+    """The long options of each leaf subcommand under `parser`, --help aside,
+    keyed by its name path, e.g. "verify thm4"."""
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        opts = {opt for action in parser._actions for opt in action.option_strings if opt.startswith("--")}
+        return {name: opts - {"--help"}}
+    found = {}
+    for action in subcommands:
+        for child_name, child in action.choices.items():
+            found |= leaf_options(child, f"{name} {child_name}".lstrip())
+    return found
+
+
 def test_flag_table_lists_each_subcommands_options():
-    # the "| subcommand | flags |" table names every subcommand once, with
-    # exactly the long options its parser accepts, --help aside
+    # the "| subcommand | flags |" table names every leaf subcommand once,
+    # with exactly the long options its parser accepts, --help aside
     table = README.read_text().split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     listed = {}
     for row in table.splitlines():
         _, names, flags, _ = row.split("|")
-        for name in re.findall(r"`([a-z-]+)`", names):
+        for name in re.findall(r"`([a-z0-9 -]+)`", names):
             listed[name] = set(re.findall(r"`(--[a-z-]+)`", flags))
-    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    accepted = {
-        name: {opt for action in parser._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
-        for name, parser in subparsers.choices.items()
-    }
-    assert listed == accepted
+    assert listed == leaf_options(cli.build_parser())
