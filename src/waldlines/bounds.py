@@ -37,7 +37,7 @@ from fractions import Fraction
 # Unused here, but the benchmark tracer rebinds bounds.largest_root, so it
 # stays importable.
 from .cubic import largest_root
-from .linform import RationalLike, as_rational
+from .linform import RationalLike, as_rational, check_line_count
 from .space import certify_lower_bound
 
 
@@ -50,16 +50,16 @@ def square_specialization_bound(s: int) -> int:
     With a = isqrt(s // 2), the largest a with 2a^2 <= s, the answer is 2a
     or, when 2a^2 + 2a + 1 = a^2 + (a + 1)^2 <= s, 2a + 1.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
+    if type(s) is not int or s < 1:
+        check_line_count(s)
     a = math.isqrt(s // 2)
     return 2 * a + (2 * a * (a + 1) < s)
 
 
 def sqrt_lower_bound(s: int) -> int:
     """floor(sqrt(2s - 1)), computed with exact integer arithmetic."""
-    if s < 1:
-        raise ValueError("s must be positive")
+    if type(s) is not int or s < 1:
+        check_line_count(s)
     return math.isqrt(2 * s - 1)
 
 
@@ -77,8 +77,8 @@ def plane_degeneration_bound(s: int) -> int:
     k* = K + 1, B(K + 1) <= K = A(0) since s < (K + 1)^2.  k* is found by
     bisection.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
+    if type(s) is not int or s < 1:
+        check_line_count(s)
     lo, hi = 1, math.isqrt(s) + 1
     while lo < hi:
         k = (lo + hi) // 2
@@ -97,8 +97,8 @@ def alpha_max(s: int) -> int:
     Since 4(a + 2)(a + 1) = (2a + 3)^2 - 1, the condition is
     (2a + 3)^2 <= 24s + 1, i.e. 2a + 3 <= isqrt(24s + 1).
     """
-    if s < 1:
-        raise ValueError("s must be positive")
+    if type(s) is not int or s < 1:
+        check_line_count(s)
     return (math.isqrt(24 * s + 1) - 3) // 2
 
 
@@ -117,6 +117,8 @@ def small_waldschmidt(s: int) -> Fraction:
         4: Fraction(8, 3),
         5: Fraction(10, 3),
     }
+    if type(s) is not int or s < 1:
+        check_line_count(s)
     if s not in known:
         raise ValueError(f"exact value only known for s in 1..5, got {s}")
     return known[s]
@@ -147,8 +149,8 @@ def chudnovsky_verify(s_max: int) -> list[str]:
         4(a + 2)(a + 1)/3 - 4 - (a + 3)^2 = (a^2 - 6a - 31)/3 >= 0 for
         a >= 10.
     """
-    if s_max < 1:
-        raise ValueError("s_max must be positive")
+    if type(s_max) is not int or s_max < 1:
+        check_line_count(s_max)
     violations: list[str] = []
     for s in range(1, s_max + 1):
         a = alpha_max(s)
@@ -213,8 +215,8 @@ def strong_sqrt_check(s: int, tau: RationalLike) -> StrongBoundStatus:
         give h(685) > 0 > h(684) (h is about 0.038 and -0.013 there), so
         h(s) >= 0, and the condition holds, for every s >= 685.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
+    if type(s) is not int or s < 1:
+        check_line_count(s)
     if s in STRONG_BOUND_EXCEPTIONS:
         return StrongBoundStatus(False, "known-exception")
     delta = math.isqrt(5 * s // 2)

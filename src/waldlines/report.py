@@ -20,8 +20,8 @@ from .bounds import (
     square_specialization_bound,
     sqrt_lower_bound,
 )
-from .cubic import AsymptoticCubic, RootBracket, largest_root
-from .linform import as_rational
+from .cubic import RootBracket, largest_root
+from .linform import as_rational, check_line_count
 from .space import best_bound
 
 FLAG_STRONG_BOUND_EXCEPTION = (
@@ -59,10 +59,10 @@ def build_report(
 ) -> BoundReport:
     """Compute every bound for one s.  ``with_l=False`` skips the search for
     the degeneration-loop bound, which dominates the runtime."""
+    check_line_count(s)
     tau, grid, precision = as_rational(tau), as_rational(grid), as_rational(precision)
     chud = chudnovsky_bound(s)
-    root = largest_root(AsymptoticCubic(s), precision)
-    assert root is not None
+    root = largest_root(s, precision)
     flags: list[str] = []
     if s in STRONG_BOUND_EXCEPTIONS:
         flags.append(FLAG_STRONG_BOUND_EXCEPTION)

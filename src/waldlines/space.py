@@ -57,8 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cubic import AsymptoticCubic, largest_root
-from .linform import RationalLike, as_rational
+from .cubic import largest_root
+from .linform import RationalLike, as_rational, check_line_count
 from .plane import MAX_STEPS, IterationLimitError, SpaceSystem, quadric_threshold
 
 
@@ -81,11 +81,6 @@ class DegenerationStep:
 
 
 Certificate = tuple[Fraction, int, tuple[tuple[LMove, Fraction | None], ...]]
-
-
-def _check_line_count(s: object) -> None:
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise TypeError(f"the line count {s!r} is not an int")
 
 
 def _read(step: int | None, t: object) -> Fraction:
@@ -151,7 +146,10 @@ class _State:
         if not moves:
             raise AssertionError("start: empty certificate")
         delta = _read(None, delta)
-        _check_line_count(s)
+        try:
+            check_line_count(s)
+        except ValueError:
+            pass  # s < 1: refused below as a start that is not one
         if delta <= 0 or s < 1:
             raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")
         state = cls(delta, s)
@@ -269,15 +267,13 @@ def certify_lower_bound(
     A True answer certifies that the Waldschmidt constant of s very general
     lines in P^3 is at least delta.  A False answer certifies nothing.
     """
-    _check_line_count(s)
+    check_line_count(s)
     delta = as_rational(delta)
     tau = as_rational(tau)
     if delta <= 0:
         raise ValueError("delta must be positive")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if s < 1:
-        raise ValueError("s must be positive")
     tn, td = tau.numerator, tau.denominator
     state = _State(delta, s)
     moves: list[tuple[LMove, Fraction | None]] = []
@@ -344,13 +340,12 @@ def best_bound(
     soundness does not depend on that premise; a hole would only make the
     result smaller than the scan's.
     """
-    _check_line_count(s)
+    check_line_count(s)
     tau = as_rational(tau)
     grid = as_rational(grid)
     if grid <= 0:
         raise ValueError("grid must be positive")
-    root = largest_root(AsymptoticCubic(s), min(grid, Fraction(1, 1000)))
-    assert root is not None  # k = 0 cubics always have a root >= 1
+    root = largest_root(s, min(grid, Fraction(1, 1000)))
     lo = 1 // grid  # virtual "yes": lo * grid <= 1
     hi = -(-root.hi // grid) + 1  # virtual "no": one past ceil to the grid
     while hi - lo > 1:

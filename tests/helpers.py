@@ -24,7 +24,7 @@ from waldlines.bounds import (
     sqrt_lower_bound,
     square_specialization_bound,
 )
-from waldlines.cubic import AsymptoticCubic, RootBracket, largest_root
+from waldlines.cubic import RootBracket, largest_root
 from waldlines.plane import (
     PlaneSystem,
     SpaceSystem,
@@ -330,12 +330,17 @@ def stepwise_quadric_threshold(inp: SystemAggregates, tau: Fraction) -> Threshol
     return ThresholdResult(t0, cremonas, merges)
 
 
-def _reference_bisect(
-    cubic: AsymptoticCubic, lo: Fraction, hi: Fraction, precision: Fraction
-) -> RootBracket:
+def cubic_value(s: int, t: Fraction) -> Fraction:
+    """t^3 - 3st + 2s at t, in Fractions."""
+    return t * t * t - 3 * s * t + 2 * s
+
+
+def bisect_root(f, lo: Fraction, hi: Fraction, precision: Fraction) -> RootBracket:
+    """Halve [lo, hi], with f(lo) < 0 < f(hi), until it is narrower than
+    ``precision``, or down to an exact zero at a halving point."""
     while hi - lo >= precision:
         mid = (lo + hi) / 2
-        v = cubic(mid)
+        v = f(mid)
         if v == 0:
             return RootBracket(mid, mid)
         if v < 0:
@@ -345,49 +350,29 @@ def _reference_bisect(
     return RootBracket(lo, hi)
 
 
-def _reference_bisect_right_of_dip(
-    cubic: AsymptoticCubic, lo: Fraction, hi: Fraction, precision: Fraction
-) -> RootBracket:
-    x = hi
-    while cubic(x) >= 0:
-        mid = (lo + x) / 2
-        if mid * mid <= cubic.s:
-            lo = mid
-        else:
-            x = mid
-    return _reference_bisect(cubic, x, hi, precision)
-
-
-def reference_largest_root(cubic: AsymptoticCubic, precision: Fraction) -> RootBracket | None:
+def reference_largest_root(s: int, precision: Fraction) -> RootBracket:
     """The Fraction bisection that cubic.largest_root replaced: the oracle
-    for its integer bisection on the dyadic grid.  Every point is evaluated
-    with the public AsymptoticCubic.__call__."""
-    s, k = cubic.s, cubic.k
+    for its integer bisection on the dyadic grid.  It scans the integers
+    down from ceil(sqrt(3s)) + 1 to the first one where the cubic is not
+    positive, and bisects the unit interval right of it.  Every point is
+    evaluated with cubic_value."""
     hi_end = math.isqrt(3 * s)
     if hi_end * hi_end < 3 * s:
         hi_end += 1
     hi_end += 1
-    min_sign = s**3 - (s + k) ** 2
-    if min_sign < 0:
-        return None
-    if min_sign == 0:
-        x = Fraction(math.isqrt(s))
-        assert cubic(x) == 0
-        return RootBracket(x, x)
     prev = Fraction(hi_end)
-    assert cubic(prev) > 0
+    assert cubic_value(s, prev) > 0
     for j in range(hi_end - 1, 0, -1):
         x = Fraction(j)
-        v = cubic(x)
+        v = cubic_value(s, x)
         if v > 0:
             prev = x
             continue
-        if v == 0 and j * j >= s:
+        if v == 0:
+            assert j * j >= s, s  # a zero left of the dip is not the largest root
             return RootBracket(x, x)
-        if v < 0:
-            return _reference_bisect(cubic, x, prev, precision)
-        return _reference_bisect_right_of_dip(cubic, x, prev, precision)
-    return _reference_bisect_right_of_dip(cubic, Fraction(1), Fraction(hi_end), precision)
+        return bisect_root(lambda t: cubic_value(s, t), x, prev, precision)
+    raise AssertionError(f"s={s}: the cubic is positive at t = 1")
 
 
 def reference_chudnovsky_verify(s_max: int) -> list[str]:
@@ -452,8 +437,7 @@ def suite_upper_bound_domination(s_max: int = 500) -> tuple[bool, str]:
     """Every lower bound stays below e_s + 1e-6."""
     eps = Fraction(1, 10**6)
     for s in range(1, s_max + 1):
-        root = largest_root(AsymptoticCubic(s), eps)
-        assert root is not None
+        root = largest_root(s, eps)
         top = root.hi + eps
         values = (
             Fraction(square_specialization_bound(s)),

@@ -21,7 +21,7 @@ from waldlines.bounds import (
     square_specialization_bound,
     strong_sqrt_check,
 )
-from waldlines.cubic import AsymptoticCubic, largest_root
+from waldlines.cubic import largest_root
 from waldlines.plane import SpaceSystem, format_system, quadric_threshold, reference_reduction
 from waldlines.report import build_report
 from waldlines.space import LMove, best_bound, certify_lower_bound
@@ -115,15 +115,16 @@ def test_c5_upper_bound_row():
     ok = True
     misses = []
     for s, target in printed.items():
-        mid = largest_root(AsymptoticCubic(s), EPS).midpoint
+        mid = largest_root(s, EPS).midpoint
         if abs(mid - target) > F(5, 10**4):
             misses.append(f"s={s}: |{float(mid):.6f} - {target}| = {float(abs(mid - target)):.2e}")
             ok = False
         # the printed value is always the truncation of the true root
         assert F(math.floor(mid * 1000), 1000) == target
-    e7 = largest_root(AsymptoticCubic(7), EPS).midpoint
+    e7 = largest_root(7, EPS).midpoint
     ok = ok and abs(e7 - F("4.203503")) <= F(1, 10**5)
-    crossing = largest_root(AsymptoticCubic(100, 225), EPS).midpoint
+    # the correction root: t^3 - 3st + 2s + 2k at s = 100, k = 225
+    crossing = helpers.bisect_root(lambda t: t**3 - 300 * t + 650, F(16), F(17), EPS).midpoint
     ok = ok and abs(crossing - F("16.114")) <= F(1, 10**3)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 1.0
@@ -146,7 +147,7 @@ def test_c6_search_bound_quality():
         value = best_bound(s, TAU, GRID)
         got[s] = value
         ok = ok and value == PINNED_BEST[s]
-        e_s = largest_root(AsymptoticCubic(s), EPS).hi
+        e_s = largest_root(s, EPS).hi
         if s == 7:
             ok = ok and abs(value - target) <= F(5, 100)
         else:

@@ -61,7 +61,7 @@ def test_largest_root_spans_one_per_root(tmp_path, monkeypatch):
     # encloses no root, whether the bound holds or, just above e_s at
     # s = 20, as in test_invariants_bound_at_e_s, fails
     assert root_spans(layers, ["verify", "invariants", "--max-s", "20"]) == 0
-    above = cubic.largest_root(cubic.AsymptoticCubic(20), F(1, 10**6)).hi
+    above = cubic.largest_root(20, F(1, 10**6)).hi
     closed_form = bounds.plane_degeneration_bound
     monkeypatch.setattr(bounds, "plane_degeneration_bound", lambda n: above if n == 20 else closed_form(n))
     assert root_spans(layers, ["verify", "invariants", "--max-s", "20"], code=1) == 0

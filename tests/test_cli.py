@@ -15,7 +15,7 @@ from waldlines import bounds, cli, plane, report, space
 from waldlines.cache import ResultCache, cache_key
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
-from waldlines.cubic import AsymptoticCubic, half_at_most_e_s, largest_root
+from waldlines.cubic import half_at_most_e_s, largest_root
 from helpers import parse_linform
 from waldlines.linform import as_rational
 from waldlines.plane import SpaceSystem
@@ -619,7 +619,7 @@ class TestVerify:
         # a lower bound may reach e_s and no further: at s = 20 a bound just
         # below e_s passes and one just above it fails, 10^-40 apart
         s = 20
-        bracket = largest_root(AsymptoticCubic(s), F(1, 10**40))
+        bracket = largest_root(s, F(1, 10**40))
         v = getattr(bracket, end)
         assert half_at_most_e_s(2 * v, s) is (code == 0)
         closed_form = bounds.plane_degeneration_bound

@@ -1,122 +1,93 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
 import pytest
 
 import helpers
-from waldlines.cubic import AsymptoticCubic, half_at_most_e_s, largest_root
+from waldlines.cubic import half_at_most_e_s, largest_root
 
 EPS = F(1, 10**6)
 # precision 1 is the width of an integer bracket, so it tells a width test
 # `>= precision` from `> precision`
 PRECISIONS = (F(2), F(1), F(1, 3), F(3, 7), F(1, 10), F(1, 1000), EPS)
-# (s, k) reaching each branch of largest_root
-NO_ROOT = ((1, 1), (2, 1))
-# a zero minimum: the double root sqrt(s) is found as an integer root
-EXACT_MINIMUM = ((1, 0), (4, 4))
-INTEGER_ROOT = ((2, 0), (7, 11))
-ZERO_LEFT_OF_DIP = ((5, 6), (6, 8), (11, 25))
-NO_INTEGER_SIGN_CHANGE = ((12, 29),)
-RIGHT_OF_DIP = ZERO_LEFT_OF_DIP + NO_INTEGER_SIGN_CHANGE
+# s reaching each branch of largest_root: an integer root, the double root
+# at the zero minimum or a simple one, and Newton steps in a unit bracket
+EXACT_MINIMUM = (1,)
+INTEGER_ROOT = (2,)
+NEWTON = (3, 7, 10, 100)
+# sha256 over "s lo hi" lines of largest_root for s = 1..20000 at 10^-6,
+# then at 1/1000, recorded before the k family was deleted
+BRACKET_DIGEST = "c6a3f8394b25e7f74b6d1d5e49ecfbdec3fa4fadcbc91b0b734bcc80e5a5397b"
 
 
-def bracket(root):
-    return None if root is None else (root.lo, root.hi)
+def assert_matches_oracle(s: int, precision: F) -> None:
+    ours, oracle = largest_root(s, precision), helpers.reference_largest_root(s, precision)
+    assert (ours.lo, ours.hi) == (oracle.lo, oracle.hi), (s, precision)
 
 
-def assert_matches_oracle(s: int, k: int, precision: F) -> None:
-    cubic = AsymptoticCubic(s, k)
-    ours, oracle = largest_root(cubic, precision), helpers.reference_largest_root(cubic, precision)
-    assert bracket(ours) == bracket(oracle), (s, k, precision)
-
-
-def approx(cubic: AsymptoticCubic, precision=EPS) -> F:
-    root = largest_root(cubic, precision)
-    assert root is not None
-    return root.midpoint
+def approx(s: int, precision=EPS) -> F:
+    return largest_root(s, precision).midpoint
 
 
 class TestLargestRoot:
     def test_exact_double_root_at_one(self):
         # t^3 - 3t + 2 = (t - 1)^2 (t + 2)
-        root = largest_root(AsymptoticCubic(1), EPS)
+        root = largest_root(1, EPS)
         assert root.lo == root.hi == 1
 
     def test_exact_root_at_two(self):
         # t^3 - 6t + 4 = (t - 2)(t^2 + 2t - 2)
-        root = largest_root(AsymptoticCubic(2), EPS)
+        root = largest_root(2, EPS)
         assert root.lo == root.hi == 2
 
-    def test_exact_double_root_with_correction(self):
-        # s = r^2, k = r^3 - r^2: t^3 - 3r^2 t + 2r^3 = (t - r)^2 (t + 2r),
-        # e.g. t^3 - 12t + 16 = (t - 2)^2 (t + 4)
-        for r in range(1, 61):
-            root = largest_root(AsymptoticCubic(r * r, r**3 - r * r), EPS)
-            assert root.lo == root.hi == r, r
-
-    def test_no_root_above_one(self):
-        # t^3 - 6t + 6 only vanishes near -2.85
-        assert largest_root(AsymptoticCubic(2, 1), EPS) is None
-
     def test_bracket_is_a_sign_change(self):
-        # evaluated with the public exact evaluator, independently of both
+        # evaluated with the tests' own evaluator, independently of both
         # the integer bisection and its Fraction oracle
-        cases = [(s, k) for s in (3, 7, 10, 100, 500) for k in (0, 1, s // 2, s)]
-        for s, k in cases + list(RIGHT_OF_DIP):
-            cubic = AsymptoticCubic(s, k)
-            root = largest_root(cubic, EPS)
-            if root is None:
-                assert (s, k) not in RIGHT_OF_DIP
-                continue
+        for s in (1, 2, 3, 7, 10, 100, 500, 10**6):
+            root = largest_root(s, EPS)
             assert root.hi - root.lo < EPS
             if root.lo == root.hi:
-                assert cubic(root.lo) == 0
+                assert helpers.cubic_value(s, root.lo) == 0
             else:
-                assert cubic(root.lo) < 0 < cubic(root.hi)
+                assert helpers.cubic_value(s, root.lo) < 0 < helpers.cubic_value(s, root.hi)
             assert root.hi * root.hi >= s  # on the increasing branch
 
     def test_matches_the_fraction_oracle(self):
         for s in range(1, 301):
-            for k in {0, 1, s // 2, s, 2 * s}:
-                for precision in PRECISIONS:
-                    assert_matches_oracle(s, k, precision)
+            for precision in PRECISIONS:
+                assert_matches_oracle(s, precision)
 
     def test_matches_the_fraction_oracle_at_high_precision(self):
         # about 133 halvings of a unit bracket, all replaced by Newton steps
         for s in range(1, 61):
-            for k in (0, 1, s):
-                assert_matches_oracle(s, k, F(1, 10**40))
+            assert_matches_oracle(s, F(1, 10**40))
 
     def test_matches_the_oracle_on_every_branch(self):
-        for s, k in NO_ROOT:
-            assert largest_root(AsymptoticCubic(s, k), EPS) is None
-        for s, k in EXACT_MINIMUM + INTEGER_ROOT:
-            root = largest_root(AsymptoticCubic(s, k), EPS)
+        for s in EXACT_MINIMUM + INTEGER_ROOT:
+            root = largest_root(s, EPS)
             assert root.lo == root.hi and root.lo.denominator == 1
-        for s, k in NO_ROOT + EXACT_MINIMUM + INTEGER_ROOT + RIGHT_OF_DIP:
+        for s in EXACT_MINIMUM + INTEGER_ROOT + NEWTON:
             for precision in PRECISIONS:
-                assert_matches_oracle(s, k, precision)
+                assert_matches_oracle(s, precision)
+
+    def test_brackets_are_pinned(self):
+        h = hashlib.sha256()
+        for precision in (EPS, F(1, 1000)):
+            for s in range(1, 20001):
+                root = largest_root(s, precision)
+                h.update(f"{s} {root.lo} {root.hi}\n".encode())
+        assert h.hexdigest() == BRACKET_DIGEST
 
     def test_known_decimals(self):
-        assert abs(approx(AsymptoticCubic(10)) - F("5.107249")) <= F(1, 10**5)
-        assert abs(approx(AsymptoticCubic(7)) - F("4.203503")) <= F(1, 10**5)
-        assert abs(approx(AsymptoticCubic(100, 225)) - F("16.114")) <= F(1, 10**3)
-
-    def test_correction_only_lowers_the_root(self):
-        for s in (5, 10, 50, 100):
-            plain = approx(AsymptoticCubic(s))
-            for k in (1, s // 2, 2 * s):
-                shifted = largest_root(AsymptoticCubic(s, k), EPS)
-                if shifted is not None:
-                    assert shifted.midpoint <= plain + EPS
+        assert abs(approx(10) - F("5.107249")) <= F(1, 10**5)
+        assert abs(approx(7) - F("4.203503")) <= F(1, 10**5)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            AsymptoticCubic(0)
+            largest_root(0, EPS)
         with pytest.raises(ValueError):
-            AsymptoticCubic(3, -1)
-        with pytest.raises(ValueError):
-            largest_root(AsymptoticCubic(3), F(0))
+            largest_root(3, F(0))
 
 
 class TestHalfAtMostEs:
@@ -125,7 +96,7 @@ class TestHalfAtMostEs:
         # [lo, hi] of e_s when halved, and the exact check must side with it;
         # so must the enclosure's own ends, doubled, as rational w
         for s in range(1, 2001):
-            root = largest_root(AsymptoticCubic(s), F(1, 10**40))
+            root = largest_root(s, F(1, 10**40))
             lo, hi = root.lo, root.hi
             for w in range(math.floor(2 * lo) - 3, math.ceil(2 * hi) + 4):
                 assert w <= 2 * lo or w > 2 * hi, (s, w)

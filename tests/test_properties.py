@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from waldlines.cubic import AsymptoticCubic, largest_root
+from waldlines.cubic import largest_root
 from waldlines.plane import (
     Move,
     apply_cremona,
@@ -104,15 +104,6 @@ class TestBoundFacts:
         q = helpers.sqrt_lower_bound(s)
         assert q * q <= 2 * s - 1 < (q + 1) ** 2
 
-    @settings(max_examples=200, deadline=None)
-    @given(small_s, st.integers(min_value=0, max_value=50))
-    def test_correction_root_never_larger(self, s, k):
-        eps = F(1, 10**6)
-        plain = largest_root(AsymptoticCubic(s), eps)
-        shifted = largest_root(AsymptoticCubic(s, k), eps)
-        if shifted is not None:
-            assert shifted.midpoint <= plain.midpoint + eps
-
     def test_factorable_roots_exact(self):
-        assert largest_root(AsymptoticCubic(1), F(1, 10)).lo == 1
-        assert largest_root(AsymptoticCubic(2), F(1, 10)).lo == 2
+        assert largest_root(1, F(1, 10)).lo == 1
+        assert largest_root(2, F(1, 10)).lo == 2

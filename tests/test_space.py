@@ -10,9 +10,10 @@ import pytest
 
 import helpers
 from helpers import format_space_system, l_step_to_json
-from waldlines import plane, space
-from waldlines.cubic import AsymptoticCubic, largest_root
+from waldlines import bounds, plane, space
+from waldlines.cubic import largest_root
 from waldlines.plane import associate_system, quadric_threshold, reference_reduction
+from waldlines.report import build_report
 from waldlines.space import (
     DegenerationResult,
     LMove,
@@ -34,10 +35,26 @@ PINNED_BEST = {
     50: F(11569, 1000),
 }
 
+# every function that takes a line count s, called with s
+LINE_COUNT_TAKERS = {
+    "certify_lower_bound": lambda s: certify_lower_bound(F(4), s, TAU),
+    "best_bound": lambda s: best_bound(s, TAU, TAU),
+    "largest_root": lambda s: largest_root(s, TAU),
+    "build_report": lambda s: build_report(s, TAU, TAU, TAU, with_l=False),
+    "square_specialization_bound": bounds.square_specialization_bound,
+    "sqrt_lower_bound": bounds.sqrt_lower_bound,
+    "plane_degeneration_bound": bounds.plane_degeneration_bound,
+    "alpha_max": bounds.alpha_max,
+    "chudnovsky_bound": bounds.chudnovsky_bound,
+    "small_waldschmidt": bounds.small_waldschmidt,
+    "chudnovsky_verify": bounds.chudnovsky_verify,
+    "strong_sqrt_check": lambda s: bounds.strong_sqrt_check(s, TAU),
+}
+
 
 def upper_index(s: int, grid: F) -> int:
     """Index of the conjectural upper bound e_s rounded up to the grid."""
-    root = largest_root(AsymptoticCubic(s), min(grid, F(1, 1000)))
+    root = largest_root(s, min(grid, F(1, 1000)))
     return -(-root.hi // grid)
 
 
@@ -449,12 +466,17 @@ class TestDegeneration:
     @pytest.mark.parametrize("s", [8.0, True])
     def test_rejects_a_line_count_that_is_not_an_int(self, s):
         # as the walk does: a float s would otherwise answer with a start
-        # the replay rejects, and best_bound would fail inside the cubic
+        # the replay rejects, and a bool would be read as one line
         want = f"^the line count {s!r} is not an int$"
-        with pytest.raises(TypeError, match=want):
-            certify_lower_bound(F(4), s, TAU)
-        with pytest.raises(TypeError, match=want):
-            best_bound(s, TAU, TAU)
+        for call in LINE_COUNT_TAKERS.values():
+            with pytest.raises(TypeError, match=want):
+                call(s)
+
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_rejects_a_line_count_below_one(self, s):
+        for call in LINE_COUNT_TAKERS.values():
+            with pytest.raises(ValueError, match="^s must be positive$"):
+                call(s)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
