@@ -50,6 +50,8 @@ def square_specialization_bound(s: int) -> int:
     With a = isqrt(s // 2), the largest a with 2a^2 <= s, the answer is 2a
     or, when 2a^2 + 2a + 1 = a^2 + (a + 1)^2 <= s, 2a + 1.
     """
+    # Sweeps call the closed forms once per s, so they skip the call for a
+    # plain int s >= 1.
     if type(s) is not int or s < 1:
         check_line_count(s)
     a = math.isqrt(s // 2)

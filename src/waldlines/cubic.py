@@ -36,29 +36,31 @@ class RootBracket:
         return (self.lo + self.hi) / 2
 
 
-def _bisect(s: int, j: int, precision: Fraction) -> RootBracket:
-    """The bracket that halving [j, j + 1] (cubic negative at j, positive at
-    j + 1) until it is narrower than ``precision`` ends on.  The bracket
-    holds one root, right of sqrt(s).
+def _bisect(s: int, c: int, j: int, precision: Fraction) -> RootBracket:
+    """The bracket that halving [j, j + 1] (t^3 - 3st + c, c > 0, negative
+    at j >= 0 and positive at j + 1) until it is narrower than ``precision``
+    ends on.  The bracket holds the largest root, right of sqrt(s), since
+    the smallest is negative.  largest_root passes c = 2s; acceptance
+    criterion C5 also reads the root at c = 2s + 2k, s = 100, k = 225.
 
     Halving goes on while 1/2^n >= precision = num/den, i.e. while
     2^n <= den // num, so it stops after n halvings, n the bit length of
     den // num, on the one of the 2^n equal parts of [j, j + 1] that holds
     the root.  No halving point is the root: a monic integer cubic has only
-    integer rational roots, and largest_root returns those without calling
-    this.  So the part is [M, M + 1]/2^n with M = floor(root * 2^n).
+    integer rational roots, and the cubic is nonzero at j and j + 1.  So the
+    part is [M, M + 1]/2^n with M = floor(root * 2^n).
 
     M comes from Newton steps on P(m) = 8^n * cubic(m/2^n)
-    = m^3 - 3s*m*4^n + 2s*8^n, started at (j + 1)*2^n.  Right of sqrt(s)
+    = m^3 - 3s*m*4^n + c*8^n, started at (j + 1)*2^n.  Right of sqrt(s)
     the cubic is convex and increasing, so each real Newton step from
     m > root lands in [root, m), and taking the floor of the step
     P(m)/P'(m) keeps m above the irrational root.  The three roots r are
-    real (the minimum is negative), so P/P' = 1/sum(1/(m - r))
+    real (the cubic is negative at j), so P/P' = 1/sum(1/(m - r))
     >= (m - root)/3: once the floored step is 0, m - root < 3, and at most
     two unit steps reach M + 1.
     """
     n = (precision.denominator // precision.numerator).bit_length()
-    a, b = (3 * s) << (2 * n), (2 * s) << (3 * n)
+    a, b = (3 * s) << (2 * n), c << (3 * n)
     m = (j + 1) << n
     while (step := (m * (m * m - a) + b) // (3 * m * m - a)) > 0:
         m -= step
@@ -115,4 +117,4 @@ def largest_root(s: int, precision: RationalLike) -> RootBracket:
         j -= 1
     if v == 0:
         return RootBracket(Fraction(j), Fraction(j))
-    return _bisect(s, j, precision)
+    return _bisect(s, 2 * s, j, precision)

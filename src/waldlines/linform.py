@@ -45,9 +45,7 @@ def as_rational(x: RationalLike) -> Fraction:
 def check_line_count(s: object) -> None:
     """Refuse a line count s that is not an int >= 1: a TypeError for a
     non-int, a bool included (True is not read as 1), and a ValueError for
-    s < 1.  The closed forms in bounds.py, which sweeps call once per s,
-    call this only when ``type(s) is not int or s < 1``, the one test that
-    lets a valid plain int through without the cost of a call."""
+    s < 1."""
     if not isinstance(s, int) or isinstance(s, bool):
         raise TypeError(f"the line count {s!r} is not an int")
     if s < 1:

@@ -21,7 +21,7 @@ from .bounds import (
     sqrt_lower_bound,
 )
 from .cubic import RootBracket, largest_root
-from .linform import as_rational, check_line_count
+from .linform import as_rational
 from .space import best_bound
 
 FLAG_STRONG_BOUND_EXCEPTION = (
@@ -59,7 +59,6 @@ def build_report(
 ) -> BoundReport:
     """Compute every bound for one s.  ``with_l=False`` skips the search for
     the degeneration-loop bound, which dominates the runtime."""
-    check_line_count(s)
     tau, grid, precision = as_rational(tau), as_rational(grid), as_rational(precision)
     chud = chudnovsky_bound(s)
     root = largest_root(s, precision)

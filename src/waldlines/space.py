@@ -146,10 +146,8 @@ class _State:
         if not moves:
             raise AssertionError("start: empty certificate")
         delta = _read(None, delta)
-        try:
+        if type(s) is not int:
             check_line_count(s)
-        except ValueError:
-            pass  # s < 1: refused below as a start that is not one
         if delta <= 0 or s < 1:
             raise AssertionError(f"step 0: ({delta}; | 1^{s}) is not a start (delta; | 1^s)")
         state = cls(delta, s)

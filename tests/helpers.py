@@ -335,12 +335,10 @@ def cubic_value(s: int, t: Fraction) -> Fraction:
     return t * t * t - 3 * s * t + 2 * s
 
 
-def bisect_root(f, lo: Fraction, hi: Fraction, precision: Fraction) -> RootBracket:
-    """Halve [lo, hi], with f(lo) < 0 < f(hi), until it is narrower than
-    ``precision``, or down to an exact zero at a halving point."""
+def _reference_bisect(s: int, lo: Fraction, hi: Fraction, precision: Fraction) -> RootBracket:
     while hi - lo >= precision:
         mid = (lo + hi) / 2
-        v = f(mid)
+        v = cubic_value(s, mid)
         if v == 0:
             return RootBracket(mid, mid)
         if v < 0:
@@ -371,7 +369,7 @@ def reference_largest_root(s: int, precision: Fraction) -> RootBracket:
         if v == 0:
             assert j * j >= s, s  # a zero left of the dip is not the largest root
             return RootBracket(x, x)
-        return bisect_root(lambda t: cubic_value(s, t), x, prev, precision)
+        return _reference_bisect(s, x, prev, precision)
     raise AssertionError(f"s={s}: the cubic is positive at t = 1")
 
 

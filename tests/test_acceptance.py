@@ -21,7 +21,7 @@ from waldlines.bounds import (
     square_specialization_bound,
     strong_sqrt_check,
 )
-from waldlines.cubic import largest_root
+from waldlines.cubic import _bisect, largest_root
 from waldlines.plane import SpaceSystem, format_system, quadric_threshold, reference_reduction
 from waldlines.report import build_report
 from waldlines.space import LMove, best_bound, certify_lower_bound
@@ -123,8 +123,9 @@ def test_c5_upper_bound_row():
         assert F(math.floor(mid * 1000), 1000) == target
     e7 = largest_root(7, EPS).midpoint
     ok = ok and abs(e7 - F("4.203503")) <= F(1, 10**5)
-    # the correction root: t^3 - 3st + 2s + 2k at s = 100, k = 225
-    crossing = helpers.bisect_root(lambda t: t**3 - 300 * t + 650, F(16), F(17), EPS).midpoint
+    # the correction root: the largest root of t^3 - 3st + 2s + 2k at
+    # s = 100, k = 225, in [16, 17]
+    crossing = _bisect(100, 2 * 100 + 2 * 225, 16, EPS).midpoint
     ok = ok and abs(crossing - F("16.114")) <= F(1, 10**3)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 1.0

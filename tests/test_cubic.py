@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import helpers
-from waldlines.cubic import half_at_most_e_s, largest_root
+from waldlines.cubic import _bisect, half_at_most_e_s, largest_root
 
 EPS = F(1, 10**6)
 # precision 1 is the width of an integer bracket, so it tells a width test
@@ -82,6 +82,13 @@ class TestLargestRoot:
     def test_known_decimals(self):
         assert abs(approx(10) - F("5.107249")) <= F(1, 10**5)
         assert abs(approx(7) - F("4.203503")) <= F(1, 10**5)
+
+    def test_correction_root_of_c5(self):
+        # t^3 - 300t + 650, the root C5 reads; the bracket is the one the
+        # cubic with a 2k term gave at s = 100, k = 225 before that family
+        # was deleted
+        root = _bisect(100, 2 * 100 + 2 * 225, 16, EPS)
+        assert (root.lo, root.hi) == (F(16896803, 1048576), F(4224201, 262144))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
