@@ -37,7 +37,7 @@ from fractions import Fraction
 # Unused here, but the benchmark tracer rebinds bounds.largest_root, so it
 # stays importable.
 from .cubic import largest_root
-from .linform import RationalLike, as_rational, check_line_count
+from .linform import RationalLike, check_line_count, positive_rational
 from .space import certify_lower_bound
 
 
@@ -219,6 +219,7 @@ def strong_sqrt_check(s: int, tau: RationalLike) -> StrongBoundStatus:
     """
     if type(s) is not int or s < 1:
         check_line_count(s)
+    tau = positive_rational(tau, "tau")  # checked here too: most s run no loop
     if s in STRONG_BOUND_EXCEPTIONS:
         return StrongBoundStatus(False, "known-exception")
     delta = math.isqrt(5 * s // 2)
@@ -226,5 +227,5 @@ def strong_sqrt_check(s: int, tau: RationalLike) -> StrongBoundStatus:
         return StrongBoundStatus(small_waldschmidt(s) >= delta, "exact-value")
     if plane_degeneration_bound(s) >= delta:
         return StrongBoundStatus(True, "closed-form")
-    answer = certify_lower_bound(delta, s, as_rational(tau)).answer
+    answer = certify_lower_bound(delta, s, tau).answer
     return StrongBoundStatus(answer, "algorithm-L")

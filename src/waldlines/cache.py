@@ -1,9 +1,10 @@
 """Persistent cache of the search bound: one JSON file mapping (s, tau, grid,
 source fingerprint) to the value of `best_bound` as a "p/q" string.
 
-Hits are returned only on exact key matches.  The fingerprint is a digest of
-the package's own source files, so a value is reused only by the code that
-produced it, and each write drops the entries of every other fingerprint.
+Hits are returned only on exact key matches, and only for a value that
+`best_bound` can return.  The fingerprint is a digest of the package's own
+source files, so a value is reused only by the code that produced it, and
+each write drops the entries of every other fingerprint.
 Writes go through an atomic replace; concurrent writers are not coordinated
 beyond that (the CLI is the single writer in practice).
 """
@@ -46,11 +47,16 @@ class ResultCache:
             pass
 
     def get(self, s: int, tau: Fraction, grid: Fraction) -> Fraction | None:
+        """The stored value, or None: a miss is also an entry that is not a
+        rational literal, or not 0 or a grid multiple above 1 as `best_bound` returns."""
         raw = self._entries.get(cache_key(s, tau, grid))
-        try:  # an entry that is not a rational literal is a miss
-            return None if raw is None else as_rational(raw)
+        if raw is None:
+            return None
+        try:
+            value = as_rational(raw)
         except ValueError:
             return None
+        return value if value == 0 or (value > 1 and (value / grid).denominator == 1) else None
 
     def put(self, s: int, tau: Fraction, grid: Fraction, value: Fraction) -> None:
         """Store `value` as "p/q", dropping every entry written by other

@@ -30,8 +30,9 @@ the walk's integers (space.rendered_steps), building no Fraction per value.
 `verify invariants` decides each lower bound v <= e_s exactly from the sign
 of the cubic at v (cubic.half_at_most_e_s, whose docstring proves that no
 bound exceeds e_s past s = 19), and encloses no root.
-The search bound alone is cached, under (s, tau, grid, source fingerprint);
-every other report field is recomputed, and --no-l never opens the cache.
+The search bound alone is cached, under (s, tau, grid, source fingerprint),
+and `bound` and `table` alone decide it: a hit is served as stored, a miss
+runs space.best_bound and is written back, and --no-l never opens the cache.
 Exit status is 0 when every requested check passed, 1 on violations, 2 on
 usage errors; a reader that closes stdout's pipe early ends the command
 with status 1 and no traceback.  One parser serves every `main` call of a
@@ -42,7 +43,6 @@ process: it is built on the first call (not at import) and reused, while
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -129,8 +129,8 @@ def _tau(args: argparse.Namespace) -> Fraction:
 
 
 def _emit_reports(s_list: list[int], args: argparse.Namespace) -> int:
-    """Print the reports of `s_list` in args.fmt.  Only the search bound goes
-    through the result cache, and --no-l never opens it."""
+    """Print the reports of `s_list` in args.fmt, each with its search bound:
+    None under --no-l, else a cache hit or a search written back."""
     tau = _tau(args)
     grid = _parse_rational_arg(args.grid, what="grid")
     precision = _parse_rational_arg(args.precision, what="precision")
@@ -138,17 +138,16 @@ def _emit_reports(s_list: list[int], args: argparse.Namespace) -> int:
     writable = True
     reports = []
     for s in s_list:
-        hit = None if cache is None else cache.get(s, tau, grid)
-        rep = report.build_report(s, tau, grid, precision, with_l=cache is not None and hit is None)
-        if hit is not None:  # a cached 0 is a hit too
-            rep = dataclasses.replace(rep, l_bound=hit)
-        elif cache is not None and writable:
-            try:
-                cache.put(s, tau, grid, rep.l_bound)
-            except OSError as exc:  # the reports are still printed
-                print(f"warning: result cache not written: {exc}", file=sys.stderr)
-                writable = False
-        reports.append(rep)
+        l_bound = None if cache is None else cache.get(s, tau, grid)
+        if cache is not None and l_bound is None:  # a cached 0 is a hit too
+            l_bound = space.best_bound(s, tau, grid)
+            if writable:
+                try:
+                    cache.put(s, tau, grid, l_bound)
+                except OSError as exc:  # the reports are still printed
+                    print(f"warning: result cache not written: {exc}", file=sys.stderr)
+                    writable = False
+        reports.append(report.build_report(s, precision, l_bound))
     if args.fmt == "json":
         print(json.dumps([report.report_to_json_dict(r) for r in reports], indent=1))
     elif args.fmt == "csv":

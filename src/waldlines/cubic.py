@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linform import RationalLike, as_rational, check_line_count
+from .linform import RationalLike, check_line_count, positive_rational
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,7 @@ def largest_root(s: int, precision: RationalLike) -> RootBracket:
     interval to its right.
     """
     check_line_count(s)
-    precision = as_rational(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    precision = positive_rational(precision, "precision")
     j = math.isqrt(3 * s)
     while (v := j * (j * j - 3 * s) + 2 * s) > 0:
         j -= 1

@@ -42,6 +42,14 @@ def as_rational(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
+def positive_rational(x: RationalLike, what: str) -> Fraction:
+    """as_rational(x), or ValueError("<what> must be positive") when x <= 0."""
+    x = as_rational(x)
+    if x <= 0:
+        raise ValueError(f"{what} must be positive")
+    return x
+
+
 def check_line_count(s: object) -> None:
     """Refuse a line count s that is not an int >= 1: a TypeError for a
     non-int, a bool included (True is not read as 1), and a ValueError for

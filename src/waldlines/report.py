@@ -1,10 +1,10 @@
 """Per-s bound reports and their CSV/JSON/Markdown renderings.
 
 A report gathers the three integer lower bounds, the Chudnovsky-type bound,
-the (optional) degeneration-loop bound, and the conjectural upper bound e_s
-with its enclosure.  JSON carries exact rationals as "p/q" strings next to
-the rendered decimals; CSV and Markdown show the same decimals, so all three
-renderings agree numerically.
+the search bound the caller passes (None: not searched), and the conjectural
+upper bound e_s with its enclosure.  JSON carries exact rationals as "p/q"
+strings next to the rendered decimals; CSV and Markdown show the same
+decimals, so all three renderings agree numerically.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .bounds import (
 )
 from .cubic import RootBracket, largest_root
 from .linform import as_rational
+# Unused here, but the benchmark tracer rebinds report.best_bound, so it
+# stays importable.
 from .space import best_bound
 
 FLAG_STRONG_BOUND_EXCEPTION = (
@@ -49,17 +51,10 @@ class BoundReport:
     flags: tuple[str, ...]
 
 
-def build_report(
-    s: int,
-    tau: Fraction,
-    grid: Fraction,
-    precision: Fraction,
-    *,
-    with_l: bool = True,
-) -> BoundReport:
-    """Compute every bound for one s.  ``with_l=False`` skips the search for
-    the degeneration-loop bound, which dominates the runtime."""
-    tau, grid, precision = as_rational(tau), as_rational(grid), as_rational(precision)
+def build_report(s: int, precision: Fraction, l_bound: Fraction | None) -> BoundReport:
+    """Compute every bound for one s but the search bound, which the caller
+    passes as ``l_bound`` (None: not searched)."""
+    precision = as_rational(precision)
     chud = chudnovsky_bound(s)
     root = largest_root(s, precision)
     flags: list[str] = []
@@ -74,7 +69,7 @@ def build_report(
         sqrt_bound=sqrt_lower_bound(s),
         square_bound=square_specialization_bound(s),
         degeneration_bound=plane_degeneration_bound(s),
-        l_bound=best_bound(s, tau, grid) if with_l else None,
+        l_bound=l_bound,
         e_root=root,
         e_precision=precision,
         flags=tuple(flags),

@@ -58,7 +58,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cubic import largest_root
-from .linform import RationalLike, as_rational, check_line_count
+from .linform import RationalLike, as_rational, check_line_count, positive_rational
 from .plane import MAX_STEPS, IterationLimitError, SpaceSystem, quadric_threshold
 
 
@@ -266,12 +266,8 @@ def certify_lower_bound(
     lines in P^3 is at least delta.  A False answer certifies nothing.
     """
     check_line_count(s)
-    delta = as_rational(delta)
-    tau = as_rational(tau)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    delta = positive_rational(delta, "delta")
+    tau = positive_rational(tau, "tau")
     tn, td = tau.numerator, tau.denominator
     state = _State(delta, s)
     moves: list[tuple[LMove, Fraction | None]] = []
@@ -339,10 +335,8 @@ def best_bound(
     result smaller than the scan's.
     """
     check_line_count(s)
-    tau = as_rational(tau)
-    grid = as_rational(grid)
-    if grid <= 0:
-        raise ValueError("grid must be positive")
+    tau = positive_rational(tau, "tau")  # checked here too: s = 1 runs no probe
+    grid = positive_rational(grid, "grid")
     root = largest_root(s, min(grid, Fraction(1, 1000)))
     lo = 1 // grid  # virtual "yes": lo * grid <= 1
     hi = -(-root.hi // grid) + 1  # virtual "no": one past ceil to the grid

@@ -95,7 +95,7 @@ def test_c4_chudnovsky_row_and_discrepancy():
     }
     ok = all(chudnovsky_bound(s) == v for s, v in expected.items())
     ok = ok and chudnovsky_bound(20) == 5 and alpha_max(20) == 9
-    flags = build_report(20, TAU, GRID, EPS, with_l=False).flags
+    flags = build_report(20, EPS, None).flags
     ok = ok and any("chudnovsky-reference-mismatch" in f for f in flags)
     check("C4", ok, "row exact; s=20 reports 5 with a discrepancy flag")
 

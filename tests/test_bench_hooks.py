@@ -73,18 +73,21 @@ def test_largest_root_spans_one_per_root(tmp_path, monkeypatch):
 
 
 def test_cache_traffic(tmp_path):
-    # --no-l never opens the result cache; a search-bound run reads it once
-    # per s and writes only on a miss
+    # --no-l never opens the result cache and runs no search; a search-bound
+    # run reads the cache once per s, and searches and writes only on a
+    # miss.  The search goes through the rebound space.best_bound, so a
+    # private binding in cli would drop its span and its probes.
     layers = load_layers()
     cache = str(tmp_path / "c.json")
     with layers.traced() as tracer:
         assert cli.main(["table", "10,20", "--no-l", "--cache", cache]) == 0
-    assert not {span[0] for span in tracer.spans} & {"cache.get", "cache.put"}
+    assert not {span[0] for span in tracer.spans} & {"cache.get", "cache.put", "space.best_bound"}
     with layers.traced() as tracer:
         for _ in range(2):
             assert cli.main(["bound", "5", "--cache", cache]) == 0
     counters, _, _ = layers.layer_metrics(tracer.spans, {None})
     assert (counters["cache.get.calls"], counters["cache.get.hits"], counters["cache.put.calls"]) == (2, 1, 1)
+    assert counters["space.best_bound.calls"] == 1 and counters["space.best_bound.probes"] > 0
 
 
 def test_parse_spans_do_not_grow():

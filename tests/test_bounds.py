@@ -309,3 +309,14 @@ class TestStrongBound:
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
             strong_sqrt_check(0, TAU)
+        # tau is read before the exact-value, exception and closed-form
+        # routes, which run no loop
+        with pytest.raises(ValueError, match="tau must be positive"):
+            strong_sqrt_check(40, -1)
+        with pytest.raises(ValueError):
+            strong_sqrt_check(40, "garbage")
+        for tau in (0.5, None):
+            with pytest.raises(TypeError):
+                strong_sqrt_check(40, tau)
+        with pytest.raises(TypeError):
+            strong_sqrt_check(3, None)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import waldlines
-from waldlines import bounds, cli, plane, report, space
+from waldlines import bounds, cli, plane, space
 from waldlines.cache import ResultCache, cache_key
 from waldlines.cli import main, parse_l_input, parse_t_input
 from waldlines.cli import InputError
@@ -321,7 +321,7 @@ class TestBoundAndTable:
         argv = ["bound", "5", "--format", "json", "--cache", str(path)]
         _, first, _ = run(capsys, *argv)
         assert json.loads(path.read_text())["entries"] == {cache_key(5, TAU, TAU): "3111/1000"}
-        monkeypatch.setattr(report, "best_bound", no_search)
+        monkeypatch.setattr(space, "best_bound", no_search)
         _, second, _ = run(capsys, *argv)
         assert first == second
         assert json.loads(first)[0]["algorithm_L"] == "3111/1000"
@@ -330,7 +330,7 @@ class TestBoundAndTable:
         # best_bound(1) is 0: no grid point above 1 is certified
         argv = ["bound", "1", "--format", "json", "--cache", str(tmp_path / "c.json")]
         _, first, _ = run(capsys, *argv)
-        monkeypatch.setattr(report, "best_bound", no_search)
+        monkeypatch.setattr(space, "best_bound", no_search)
         _, second, _ = run(capsys, *argv)
         assert first == second
         assert json.loads(first)[0]["algorithm_L"] == "0"
@@ -401,7 +401,7 @@ class TestBoundAndTable:
         # one, with the default-width bracket computed afresh
         argv = ["bound", "5", "--format", "json", "--cache", str(tmp_path / "c.json")]
         _, coarse, _ = run(capsys, *argv, "--precision", "1/10")
-        monkeypatch.setattr(report, "best_bound", no_search)
+        monkeypatch.setattr(space, "best_bound", no_search)
         _, fine, _ = run(capsys, *argv)
         for out, width in ((coarse, F(1, 10)), (fine, F(1, 10**6))):
             (entry,) = json.loads(out)

@@ -18,7 +18,7 @@ EPS = F(1, 10**6)
 
 
 def quick_report(s: int):
-    return build_report(s, TAU, GRID, EPS, with_l=False)
+    return build_report(s, EPS, None)
 
 
 class TestDecimals:
@@ -141,11 +141,12 @@ class TestCache:
             assert ResultCache(path).get(10, TAU, GRID) is None, payload
 
     def test_unreadable_entry_is_a_miss(self, tmp_path, capsys):
-        # a string under the current key that is not a rational literal is
-        # searched again and overwritten, not served or raised on
+        # a string under the current key that is not a rational literal, or
+        # is one that best_bound never returns (negative, in (0, 1], or off
+        # the grid), is searched again and overwritten, not served or raised on
         path = tmp_path / "cache.json"
         key = cache_key(5, TAU, GRID)
-        for bad in ("", "x", "1/0", "3,1", "nan", "3/"):
+        for bad in ("", "x", "1/0", "3,1", "nan", "3/", "-5", "1/2", "1", "3001/1000000"):
             path.write_text(json.dumps({"entries": {key: bad}}))
             assert ResultCache(path).get(5, TAU, GRID) is None, bad
         assert cli.main(["bound", "5", "--format", "csv", "--cache", str(path)]) == 0

@@ -40,7 +40,7 @@ LINE_COUNT_TAKERS = {
     "certify_lower_bound": lambda s: certify_lower_bound(F(4), s, TAU),
     "best_bound": lambda s: best_bound(s, TAU, TAU),
     "largest_root": lambda s: largest_root(s, TAU),
-    "build_report": lambda s: build_report(s, TAU, TAU, TAU, with_l=False),
+    "build_report": lambda s: build_report(s, TAU, None),
     "square_specialization_bound": bounds.square_specialization_bound,
     "sqrt_lower_bound": bounds.sqrt_lower_bound,
     "plane_degeneration_bound": bounds.plane_degeneration_bound,
@@ -487,6 +487,10 @@ class TestDegeneration:
             certify_lower_bound(F(4), 5, F(0))
         with pytest.raises(ValueError):
             SpaceSystem(F(4), (F(0),), 2)
+        # best_bound(1) probes no grid point, and still reads tau
+        for tau in (F(0), F(-5)):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                best_bound(1, tau, TAU)
 
 
 class TestBestBound:
