@@ -130,11 +130,12 @@ def chudnovsky_verify(s_max: int) -> list[str]:
     """Exact sweep of the Chudnovsky-type inequality chain up to s_max.
 
     For each s checks that the best of the three closed-form lower bounds
-    reaches (alpha_max(s) + 1)/2, and that for every a >= 10 with
-    (a + 2)(a + 1) <= 6s the inequality sqrt(2s - 1) - 1 >= (a + 1)/2 holds
-    (equivalently 8s - 4 >= (a + 3)^2, checked in integers).  The other two
-    bounds are computed only when the sqrt bound falls short, and since
-    (a + 3)^2 grows with a, a = alpha_max(s) decides the second check.
+    reaches (alpha_max(s) + 1)/2 (as 2*best >= a + 1, in integers), and
+    that for every a >= 10 with (a + 2)(a + 1) <= 6s the inequality
+    sqrt(2s - 1) - 1 >= (a + 1)/2 holds (equivalently 8s - 4 >= (a + 3)^2,
+    checked in integers).  The other two bounds are computed only when the
+    sqrt bound falls short, and since (a + 3)^2 grows with a,
+    a = alpha_max(s) decides the second check.
     Returns a list of violation descriptions; empty means the chain holds
     everywhere.
 

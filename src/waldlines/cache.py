@@ -2,9 +2,13 @@
 source fingerprint) to the value of `best_bound` as a "p/q" string.
 
 Hits are returned only on exact key matches, and only for a value that
-`best_bound` can return.  The fingerprint is a digest of the package's own
-source files, so a value is reused only by the code that produced it, and
-each write drops the entries of every other fingerprint.
+`best_bound` can return: 0, or a multiple of the grid above 1 and at most
+`space.search_ceiling`, e_s rounded up to the grid.  Any other entry is a
+miss, which the CLI searches again and overwrites.  A well-formed wrong
+value in that range, such as 3 for s = 5, is still served; only a
+replayable certificate could catch it.  The fingerprint is a digest of the
+package's own source files, so a value is reused only by the code that
+produced it, and each write drops the entries of every other fingerprint.
 Writes go through an atomic replace; concurrent writers are not coordinated
 beyond that (the CLI is the single writer in practice).
 """
@@ -20,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .linform import as_rational
+from .space import search_ceiling
 
 
 @functools.cache
@@ -48,7 +53,9 @@ class ResultCache:
 
     def get(self, s: int, tau: Fraction, grid: Fraction) -> Fraction | None:
         """The stored value, or None: a miss is also an entry that is not a
-        rational literal, or not 0 or a grid multiple above 1 as `best_bound` returns."""
+        rational literal, or not what `best_bound` can return, 0 or a grid
+        multiple above 1 and at most `space.search_ceiling`.  The ceiling,
+        one root enclosure, is computed only for an entry that parses."""
         raw = self._entries.get(cache_key(s, tau, grid))
         if raw is None:
             return None
@@ -56,7 +63,10 @@ class ResultCache:
             value = as_rational(raw)
         except ValueError:
             return None
-        return value if value == 0 or (value > 1 and (value / grid).denominator == 1) else None
+        if value == 0 or (value > 1 and (value / grid).denominator == 1
+                          and value <= search_ceiling(s, grid)):
+            return value
+        return None
 
     def put(self, s: int, tau: Fraction, grid: Fraction, value: Fraction) -> None:
         """Store `value` as "p/q", dropping every entry written by other

@@ -6,10 +6,11 @@ integers: every point tested is an integer m at a scale 2^e, and the
 cubic's sign there is that of the integer 8^e * cubic(m/2^e).  The result
 is the bracket that halving the sign-change bracket until it is narrower
 than the precision ends on, the same as that of the rational bisection this
-replaced; it is computed from floor(root * 2^E) by integer Newton steps, in
-O(log log 1/precision) steps near a simple root rather than
-O(log 1/precision) halvings.  Fractions are built only for the returned
-bracket, and a decimal only when the result is rendered.
+replaced, which the tests keep as the oracle; it is computed from
+floor(root * 2^E) by integer Newton steps, in O(log log 1/precision) steps
+near a simple root rather than O(log 1/precision) halvings.  Fractions are
+built only for the returned bracket, and a decimal only when the result is
+rendered.
 
 On [1, oo) the cubic decreases to its minimum 2s(1 - sqrt(s)) <= 0 at
 sqrt(s) and then increases, so e_s is its one root on the increasing branch.

@@ -119,7 +119,8 @@ def format_linform(f: LinForm) -> str:
 
     Signs and magnitudes are read from the coefficients' numerators and
     denominators, with no Fraction arithmetic or comparison; the text is
-    str(Fraction)'s, "n" or "n/d"."""
+    str(Fraction)'s, "n" or "n/d".  The tests compare it with the Fraction
+    renderer it replaced, kept in tests/helpers.py."""
     bn, bd = f.b.numerator, f.b.denominator
     an, ad = f.a.numerator, f.a.denominator
     if not bn:

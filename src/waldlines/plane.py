@@ -105,8 +105,9 @@ class SpaceSystem:
     """Space system (delta; q_1, ..., q_s | 1^p): a rational degree, s
     positive rational multiplicities along lines specialized to one ruling
     of the quadric, and p very general lines of multiplicity one.  The
-    degree is unchecked, since the degeneration loop can drive it to zero or
-    below; the plane reduction requires it positive."""
+    constructor requires every q_j > 0 and p >= 0 but leaves the degree
+    unchecked, since the degeneration loop can drive it to zero or below;
+    the plane reduction requires it positive."""
 
     delta: Fraction
     specialized: tuple[Fraction, ...]
@@ -142,7 +143,9 @@ class SystemAggregates(Protocol):
     positive denominator), not necessarily in lowest terms, or None when
     no line is specialized.  A SpaceSystem takes D = lcm(den delta,
     den q_sum) and q_min in lowest terms; the loop's state holds its values
-    at such a scale and gives q_min from its least line's end, unreduced."""
+    at such a scale and gives q_min from its least line's end, unreduced.
+    The tests check that a stub holding only these three gives both
+    reductions the same outcome as the system it copies."""
 
     p: int
     q_count: int
@@ -376,6 +379,12 @@ def quadric_threshold(inp: SystemAggregates, tau: RationalLike) -> ThresholdResu
     entered only when c >= 4 and v_m + kv > v_u, so that J >= 2; otherwise
     the single move is taken.  MAX_STEPS caps the iterations of the loop,
     so a run counts once, however many moves it takes.
+
+    The tests compare this kernel with the one-move-per-iteration kernel it
+    replaced (stepwise_quadric_threshold in tests/helpers.py) on every
+    kernel call of the golden-digest certifications, (11.569; 1^50),
+    (16.636; 1^100) and (23.8; 1^200), and pin one input for each way a run
+    ends.
     """
     if not isinstance(tau, Fraction):  # the loop and the replay pass a Fraction
         tau = as_rational(tau)
@@ -509,7 +518,13 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
     object at tau once per reduction: a form kept from one step to the next
     returns the value it kept, so a step computes only the forms its move
     made and k.  No memo is passed around; the values live on the forms and
-    are exact, and the reduction shares no code or scale with the kernel."""
+    are exact, and the reduction shares no code or scale with the kernel.
+
+    The tests require the kernel's t0 and its numbers of Cremona moves and
+    merges to equal these on random inputs and on states of the
+    degeneration loop.  They do not see the kernel's intermediate systems,
+    so an ordering slip that leaves t0 and both counts unchanged would pass
+    them."""
     tau = as_rational(tau)
     _, delta, _, q_min = inp.scaled()
     if delta <= 0:

@@ -43,7 +43,9 @@ without building a SpaceSystem.  rendered_steps, which trace-l prints,
 writes each state's values straight from its integers and its lines'
 ends, each reduced by one gcd into the text str(Fraction) gives; only
 .steps, on first read, materializes the states as Fractions.  It stays because
-perfbench/layers.py::_degeneration_info and the tests read it.
+perfbench/layers.py::_degeneration_info and the tests read it.  Callers that
+read only the answer (best_bound, the CLI's bound, table and verify thm4)
+and the replay never build a SpaceSystem.
 """
 
 from __future__ import annotations
@@ -110,7 +112,16 @@ class _State:
     then divides the four by their common gcd, so D stays their least
     common denominator.  The ends are never rescaled: each step pops the
     zeroed prefix and compares against the first and last end only, so it
-    does O(1) work however many lines are specialized."""
+    does O(1) work however many lines are specialized.  The state holds no
+    Fraction copy of these values; error messages render them from its
+    integers.
+
+    The tests walk every certificate of the golden digest and of the
+    benchmark's certify workload a second time on explicit q_j tuples,
+    compare the state, its aggregates (read through scaled()) and the exit
+    at every step, and check that the scale is reduced.  They also run the
+    kernel on the state and on its materialized SpaceSystem at every step
+    that records a t0, and require the same outcome."""
 
     def __init__(self, delta: Fraction, s: int) -> None:
         self.D, self.deg, self.p = delta.denominator, delta.numerator, s
@@ -136,7 +147,12 @@ class _State:
         """Yield (step, state, move, t) on arrival at each step of the
         certificate, then take the move; ``tau`` as in :meth:`move`.  A
         certificate or a step of the wrong shape is an AssertionError naming
-        the start or the step."""
+        the start or the step: a certificate that is not a triple
+        (delta, s, moves), moves that are not a tuple or list, no moves at
+        all, or a step that is not a pair (move, t).  So is a start with
+        delta <= 0 or s < 1; an s that is not an int is a TypeError, as in
+        certify_lower_bound, and the start delta is read like any recorded
+        value (see :meth:`move`)."""
         try:
             delta, s, moves = certificate
         except (TypeError, ValueError):
@@ -171,12 +187,16 @@ class _State:
 
     def move(self, step: int, move: LMove, t: Fraction | None, final: bool = False,
              tau: Fraction | None = None) -> None:
-        """Take step ``step`` (``final``: the last) or raise an AssertionError naming
-        it, also for a move that is not an LMove or a subtraction past the
-        least q_j; given ``tau``, a subtraction must also stay within t0 at
-        tau.  A "yes" records None and every other move a rational, which
-        as_rational reads, so a float or a None there is a TypeError naming
-        the step."""
+        """Take step ``step`` (``final``: the last) or raise an AssertionError
+        naming it for a move the state cannot take: a subtraction of None or
+        of t <= 0, from a degree <= 0 or past the least q_j, a specialization
+        with no general line left, a move that is not an LMove, and a
+        terminal move before the end.  Given ``tau``, a subtraction must also
+        stay within t0 at tau.  A "yes" must record None.  Every other
+        recorded value goes through as_rational, so a float or a bool there
+        is a TypeError naming the step, as in the SpaceSystem constructor,
+        and so is a None where a specialization or a "no" records its
+        threshold."""
         if move is LMove.SUBTRACT:
             t = None if t is None else _read(step, t)
             if t is None or t.numerator <= 0 or self.deg <= 0:  # a Fraction's sign
@@ -263,7 +283,14 @@ def certify_lower_bound(
     """Run the degeneration loop on (delta; 1^s).
 
     A True answer certifies that the Waldschmidt constant of s very general
-    lines in P^3 is at least delta.  A False answer certifies nothing.
+    lines in P^3 is at least delta.  A False answer certifies nothing.  An s
+    that is not an int is a TypeError, as in a walk over a certificate, and
+    s < 1, delta <= 0 or tau <= 0 is a ValueError.
+
+    A step makes 8 Python-level calls, whatever the number of specialized
+    lines: exit_yes, the kernel and the four calls it makes (tau's
+    as_integer_ratio, scaled(), _terminal_t0 and t0's Fraction), t0's
+    as_integer_ratio, and the move.
     """
     check_line_count(s)
     delta = positive_rational(delta, "delta")
@@ -303,7 +330,9 @@ def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[
     quadric; t0 is re-derived at every SUBTRACT once the move is found legal.
     The loop's rule for taking a subtraction only ensures termination and is
     not checked.  A "yes" needs the exit condition on the last state, a "no"
-    its absence.  Every rejection is an AssertionError naming the step.
+    its absence.  Every rejection is an AssertionError naming the step.  The
+    returned delta is read by as_rational.  Checking a certificate costs
+    about what producing it did.
     """
     for i, state, move, _ in _State.walk(result.certificate, as_rational(tau)):
         pass  # the walk checks each move, and each threshold against tau
@@ -311,6 +340,15 @@ def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[
     if move is not want or state.exit_yes() != result.answer:
         raise AssertionError(f"step {i}: answer {result.answer} contradicts the exit")
     return as_rational(result.certificate[0]), result.certificate[1]
+
+
+def search_ceiling(s: int, grid: Fraction) -> Fraction:
+    """The greatest value best_bound(s, tau, grid) can return: e_s, enclosed
+    within min(grid, 1/1000), with its upper end rounded up to the grid.
+    best_bound bisects below it, and the result cache serves nothing above
+    it."""
+    root = largest_root(s, min(grid, Fraction(1, 1000)))
+    return -(-root.hi // grid) * grid
 
 
 def best_bound(
@@ -332,14 +370,15 @@ def best_bound(
     from the upper bound returns, in O(log) probes instead of one per grid
     point.  Only values that were actually certified are returned, so
     soundness does not depend on that premise; a hole would only make the
-    result smaller than the scan's.
+    result smaller than the scan's.  The tests compare it with that scan for
+    s = 2..14 and probe sampled grid points at s = 20 and 50.  It refuses
+    s and tau as certify_lower_bound does, and a grid <= 0.
     """
     check_line_count(s)
     tau = positive_rational(tau, "tau")  # checked here too: s = 1 runs no probe
     grid = positive_rational(grid, "grid")
-    root = largest_root(s, min(grid, Fraction(1, 1000)))
     lo = 1 // grid  # virtual "yes": lo * grid <= 1
-    hi = -(-root.hi // grid) + 1  # virtual "no": one past ceil to the grid
+    hi = search_ceiling(s, grid) // grid + 1  # virtual "no": one past the ceiling
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if certify_lower_bound(mid * grid, s, tau).answer:
@@ -384,7 +423,8 @@ def rendered_steps(result: DegenerationResult) -> Iterator[RenderedStep]:
     """Each step of ``result.steps`` as trace-l prints it: the state's delta
     and q_j, with the step's t0 and move, written from the walk's integers.
     No SpaceSystem, DegenerationStep or Fraction is built, and .steps is not
-    read."""
+    read.  The tests compare it with .steps rendered through RenderedStep
+    from str(Fraction) (tests/helpers.py)."""
     for _, state, move, t in _State.walk(result.certificate):
         D, total = state.D, state.total
         yield RenderedStep(_ratio(state.deg, D), [_ratio(e * D - total * d, d * D) for e, d in state.ends],

@@ -142,11 +142,14 @@ class TestCache:
 
     def test_unreadable_entry_is_a_miss(self, tmp_path, capsys):
         # a string under the current key that is not a rational literal, or
-        # is one that best_bound never returns (negative, in (0, 1], or off
-        # the grid), is searched again and overwritten, not served or raised on
+        # is one that best_bound never returns (negative, in (0, 1], off the
+        # grid, or above e_s rounded up to the grid, 871/250 at s = 5), is
+        # searched again and overwritten, not served or raised on
         path = tmp_path / "cache.json"
         key = cache_key(5, TAU, GRID)
-        for bad in ("", "x", "1/0", "3,1", "nan", "3/", "-5", "1/2", "1", "3001/1000000"):
+        path.write_text(json.dumps({"entries": {key: "871/250"}}))
+        assert ResultCache(path).get(5, TAU, GRID) == F(871, 250)
+        for bad in ("", "x", "1/0", "3,1", "nan", "3/", "-5", "1/2", "1", "3001/1000000", "7", "697/200"):
             path.write_text(json.dumps({"entries": {key: bad}}))
             assert ResultCache(path).get(5, TAU, GRID) is None, bad
         assert cli.main(["bound", "5", "--format", "csv", "--cache", str(path)]) == 0
