@@ -1,43 +1,10 @@
-"""Command line interface.
+"""Command line interface.  Its usage (subcommands, flags, literal grammar
+and exit statuses) is the README's CLI section.
 
-    waldlines bound 10                     all bounds for s = 10
-    waldlines bound 10 --no-l              skip the search bound
-    waldlines trace-t "7;1,1,1,1,1;15"     plane-reduction trace (reference)
-    waldlines trace-l "4;8"                degeneration trace
-    waldlines table 10,20,50 --format csv  bound table for several s
-    waldlines verify chudnovsky --max-s 1000
-    waldlines verify thm4 --range 11..60
-    waldlines verify invariants --max-s 200
-
-`bound` and `table` take --tau --grid --precision --cache --format --no-l;
-`trace-t` and `trace-l` take --tau --json.  The targets of `verify` are
-subcommands of their own: `chudnovsky` and `invariants` take --max-s, and
-`thm4` takes --tau --range.  A flag that a (sub)command does not read is a
-usage error.  Rationals on the command line are positive and
-written "p", "p/q" or "p.d" (e.g. --tau 1/1000, "7.069;20").
-Integers (s, line counts, --max-s, the ends of --range) are ASCII digits, with
-no sign or underscore; a malformed literal is reported with its position.
-An argument that starts with "-" and a digit or "." is read as a value, so
-`--range -5..10` reaches the range's own check, as `--range=-5..10` does.
-`trace-t` reads the space system (delta; q1..qs | 1^p) as "delta;q1,...,qs;p"
-and `trace-l` the start system (delta; 1^s) as "delta;s".  `trace-t` prints
-the steps of the Fraction reference reduction, which evaluates each form
-object at tau once per reduction, and the t0 of the integer kernel, after
-checking that the two thresholds agree (exit 1 if not); each form is
-rendered from its coefficients' numerators and denominators.
-`trace-l` walks the certificate once and prints each state straight from
-the walk's integers (space.rendered_steps), building no Fraction per value.
-`verify invariants` decides each lower bound v <= e_s exactly from the sign
-of the cubic at v (cubic.half_at_most_e_s, whose docstring proves that no
-bound exceeds e_s past s = 19), and encloses no root.
-The search bound alone is cached, under (s, tau, grid, source fingerprint),
-and `bound` and `table` alone decide it: a hit is served as stored, a miss
-runs space.best_bound and is written back, and --no-l never opens the cache.
-Exit status is 0 when every requested check passed, 1 on violations, 2 on
-usage errors; a reader that closes stdout's pipe early ends the command
-with status 1 and no traceback.  One parser serves every `main` call of a
-process: it is built on the first call (not at import) and reused, while
-`build_parser` still returns a fresh one.
+One parser serves every `main` call of a process: it is built on the first
+call (not at import) and reused, while `build_parser` still returns a fresh
+one.  The benchmark's tracer (perfbench/layers.py) relies on that: it wraps
+`build_parser` so that the parser built after it is installed is traced.
 """
 
 from __future__ import annotations
@@ -96,32 +63,36 @@ def _count_at(source: str, chunk: str, offset: int, what: str, least: int) -> in
     raise InputError(f"invalid {what} {text!r} at position {offset} in {source!r}, expected {want}")
 
 
+def _fields(sep: str, text: str, offset: int = 0) -> list[tuple[str, int]]:
+    """`text` split at `sep`, each field with its position in the literal
+    being read, where `text` itself starts at `offset`."""
+    fields = []
+    for chunk in text.split(sep):
+        fields.append((chunk, offset))
+        offset += len(chunk) + len(sep)
+    return fields
+
+
 def parse_t_input(text: str) -> plane.SpaceSystem:
     """Parse "delta;q1,...,qs;p", the space system (delta; q1..qs | 1^p), e.g.
     "7;1,1,1,1,1;15" (the q-list may be empty: "4;;8")."""
-    parts = text.split(";")
-    if len(parts) != 3:
-        raise InputError(
-            f"expected 'delta;q1,...;p' with two semicolons, got {text!r}"
-        )
-    delta = _rational_at(text, parts[0], 0, "degree")
-    pos = len(parts[0]) + 1
-    qs: list[Fraction] = []
-    if parts[1].strip():
-        for chunk in parts[1].split(","):
-            qs.append(_rational_at(text, chunk, pos, "multiplicity"))
-            pos += len(chunk) + 1
-    p = _count_at(text, parts[2], len(parts[0]) + len(parts[1]) + 2, "line count", 0)
-    return plane.SpaceSystem(delta, tuple(qs), p)
+    fields = _fields(";", text)
+    if len(fields) != 3:
+        raise InputError(f"expected 'delta;q1,...;p' with two semicolons, got {text!r}")
+    qs = _fields(",", *fields[1]) if fields[1][0].strip() else []
+    return plane.SpaceSystem(
+        _rational_at(text, *fields[0], "degree"),
+        tuple(_rational_at(text, *q, "multiplicity") for q in qs),
+        _count_at(text, *fields[2], "line count", 0),
+    )
 
 
 def parse_l_input(text: str) -> tuple[Fraction, int]:
     """Parse "delta;s", e.g. "4;8"."""
-    parts = text.split(";")
-    if len(parts) != 2:
+    fields = _fields(";", text)
+    if len(fields) != 2:
         raise InputError(f"expected 'delta;s' with one semicolon, got {text!r}")
-    delta = _rational_at(text, parts[0], 0, "degree")
-    return delta, _count_at(text, parts[1], len(parts[0]) + 1, "line count", 1)
+    return _rational_at(text, *fields[0], "degree"), _count_at(text, *fields[1], "line count", 1)
 
 
 def _tau(args: argparse.Namespace) -> Fraction:
@@ -162,10 +133,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    s_list, pos = [], 0
-    for chunk in args.s_list.split(","):
-        s_list.append(_count_at(args.s_list, chunk, pos, "s", 1))
-        pos += len(chunk) + 1
+    s_list = [_count_at(args.s_list, *field, "s", 1) for field in _fields(",", args.s_list)]
     return _emit_reports(s_list, args)
 
 
@@ -230,11 +198,11 @@ def cmd_trace_l(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    ends = text.split("..")
+    ends = _fields("..", text)
     if len(ends) != 2:
         raise InputError(f"invalid range {text!r}, expected 'a..b'")
-    lo = _count_at(text, ends[0], 0, "range start", 1)
-    hi = _count_at(text, ends[1], len(ends[0]) + 2, "range end", 1)
+    lo = _count_at(text, *ends[0], "range start", 1)
+    hi = _count_at(text, *ends[1], "range end", 1)
     if hi < lo:
         raise InputError(f"invalid range {text!r}")
     return lo, hi
@@ -259,64 +227,46 @@ def cmd_verify_chudnovsky(args: argparse.Namespace) -> int:
 def cmd_verify_thm4(args: argparse.Namespace) -> int:
     tau = _tau(args)
     lo, hi = _parse_range(args.range)
-    failures = 0
-    exceptions: list[int] = []
+    marks = {}
     for s in range(lo, hi + 1):
         status = bounds.strong_sqrt_check(s, tau)
-        mark = "ok" if status.holds else ("exception" if status.method == "known-exception" else "FAIL")
-        if not status.holds and status.method == "known-exception":
-            exceptions.append(s)
-        elif not status.holds:
-            failures += 1
-        print(f"s={s}: floor(sqrt(2.5s))={math.isqrt(5 * s // 2)} {mark} [{status.method}]")
-    print(
-        f"thm4: {'pass' if failures == 0 else 'FAIL'}"
-        f" (range {lo}..{hi}, exceptions: {exceptions or 'none'})"
-    )
-    return 0 if failures == 0 else 1
+        marks[s] = "ok" if status.holds else ("exception" if status.method == "known-exception" else "FAIL")
+        print(f"s={s}: floor(sqrt(2.5s))={math.isqrt(5 * s // 2)} {marks[s]} [{status.method}]")
+    exceptions = [s for s, mark in marks.items() if mark == "exception"]
+    ok = "FAIL" not in marks.values()
+    print(f"thm4: {'pass' if ok else 'FAIL'} (range {lo}..{hi}, exceptions: {exceptions or 'none'})")
+    return 0 if ok else 1
 
 
 def cmd_verify_invariants(args: argparse.Namespace) -> int:
     max_s = _max_s(args)
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'pass' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    sq = [bounds.square_specialization_bound(s) for s in range(1, max_s + 1)]
-    rt = [bounds.sqrt_lower_bound(s) for s in range(1, max_s + 1)]
-    dg = [bounds.plane_degeneration_bound(s) for s in range(1, max_s + 1)]
-    am = [bounds.alpha_max(s) for s in range(1, max_s + 1)]
-    check("square bound dominates sqrt bound", all(a >= b for a, b in zip(sq, rt)))
-    check("alpha_max is non-decreasing", all(a <= b for a, b in zip(am, am[1:])))
-    check(
-        "alpha_max window is tight",
-        all(
-            (a + 2) * (a + 1) <= 6 * s < (a + 3) * (a + 2)
-            for s, a in zip(range(1, max_s + 1), am)
+    ss = range(1, max_s + 1)
+    sq = [bounds.square_specialization_bound(s) for s in ss]
+    rt = [bounds.sqrt_lower_bound(s) for s in ss]
+    dg = [bounds.plane_degeneration_bound(s) for s in ss]
+    am = [bounds.alpha_max(s) for s in ss]
+    verdicts = {
+        "square bound dominates sqrt bound": all(a >= b for a, b in zip(sq, rt)),
+        "alpha_max is non-decreasing": all(a <= b for a, b in zip(am, am[1:])),
+        "alpha_max window is tight": all(
+            (a + 2) * (a + 1) <= 6 * s < (a + 3) * (a + 2) for s, a in zip(ss, am)
         ),
-    )
-    # The greatest lower bound is taken doubled, so that chudnovsky_bound(s)
-    # = (a + 1)/2 is an integer too.  half_at_most_e_s decides w/2 <= e_s
-    # exactly, and its docstring proves that it holds for every s >= 20.
-    check(
-        "every lower bound is at most e_s",
-        all(
+        # The greatest lower bound is taken doubled, so that chudnovsky_bound(s)
+        # = (a + 1)/2 is an integer too.  half_at_most_e_s decides w/2 <= e_s
+        # exactly, and its docstring proves that it holds for every s >= 20.
+        "every lower bound is at most e_s": all(
             half_at_most_e_s(max(2 * q, 2 * r, 2 * d, a + 1), s)
-            for s, q, r, d, a in zip(range(1, max_s + 1), sq, rt, dg, am)
+            for s, q, r, d, a in zip(ss, sq, rt, dg, am)
         ),
-    )
-    small_ok = True
-    for s in range(1, min(max_s, 5) + 1):
-        cap = bounds.small_waldschmidt(s)
-        if any(v > cap for v in (sq[s - 1], rt[s - 1], dg[s - 1])):
-            small_ok = False
-    check("small-s bounds respect known exact values", small_ok)
-    print(f"invariants: {'pass' if failures == 0 else 'FAIL'} (s <= {max_s})")
-    return 0 if failures == 0 else 1
+        "small-s bounds respect known exact values": all(
+            max(q, r, d) <= bounds.small_waldschmidt(s) for s, q, r, d in zip(ss[:5], sq, rt, dg)
+        ),
+    }
+    for name, ok in verdicts.items():
+        print(f"{'pass' if ok else 'FAIL'}  {name}")
+    ok = all(verdicts.values())
+    print(f"invariants: {'pass' if ok else 'FAIL'} (s <= {max_s})")
+    return 0 if ok else 1
 
 
 class _Parser(argparse.ArgumentParser):

@@ -94,12 +94,6 @@ class LinForm:
     def __add__(self, other: "LinForm") -> "LinForm":
         return LinForm(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other: "LinForm") -> "LinForm":
-        return LinForm(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "LinForm":
-        return LinForm(-self.a, -self.b)
-
     def __mul__(self, c: RationalLike) -> "LinForm":
         c = as_rational(c)
         return LinForm(self.a * c, self.b * c)
@@ -108,10 +102,6 @@ class LinForm:
 
     def __str__(self) -> str:
         return format_linform(self)
-
-    @classmethod
-    def const(cls, x: RationalLike) -> "LinForm":
-        return cls(as_rational(x), Fraction(0))
 
 
 def format_linform(f: LinForm) -> str:

@@ -52,7 +52,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Protocol
 
-from .linform import LinForm, RationalLike, as_rational, format_linform
+from .linform import LinForm, RationalLike, as_rational, format_linform, positive_rational
 
 
 class IterationLimitError(RuntimeError):
@@ -105,9 +105,9 @@ class SpaceSystem:
     """Space system (delta; q_1, ..., q_s | 1^p): a rational degree, s
     positive rational multiplicities along lines specialized to one ruling
     of the quadric, and p very general lines of multiplicity one.  The
-    constructor requires every q_j > 0 and p >= 0 but leaves the degree
-    unchecked, since the degeneration loop can drive it to zero or below;
-    the plane reduction requires it positive."""
+    constructor requires every q_j > 0 and p an int >= 0, a bool refused,
+    but leaves the degree unchecked, since the degeneration loop can drive
+    it to zero or below; the plane reduction requires it positive."""
 
     delta: Fraction
     specialized: tuple[Fraction, ...]
@@ -120,6 +120,8 @@ class SpaceSystem:
         )
         if any(q.numerator <= 0 for q in self.specialized):  # a Fraction has its numerator's sign
             raise ValueError("specialized multiplicities must be positive")
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise TypeError(f"the line count {self.p!r} is not an int")
         if self.p < 0:
             raise ValueError("p must be nonnegative")
 
@@ -190,7 +192,7 @@ def associate_system(inp: SystemAggregates) -> PlaneSystem:
     m2 = LinForm(Fraction(delta - q, D), Fraction(s - 2))
     groups = [(m1, 1), (m2, 1)]
     if inp.p > 0:
-        groups.append((LinForm.const(1), 2 * inp.p))
+        groups.append((LinForm(Fraction(1)), 2 * inp.p))
     return PlaneSystem(degree, _squeeze(groups))
 
 
@@ -525,7 +527,7 @@ def reference_reduction(inp: SystemAggregates, tau: RationalLike) -> ThresholdRe
     degeneration loop.  They do not see the kernel's intermediate systems,
     so an ordering slip that leaves t0 and both counts unchanged would pass
     them."""
-    tau = as_rational(tau)
+    tau = positive_rational(tau, "tau")
     _, delta, _, q_min = inp.scaled()
     if delta <= 0:
         raise ValueError("the plane reduction needs a positive degree")

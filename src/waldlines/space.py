@@ -330,11 +330,12 @@ def replay_degeneration(result: DegenerationResult, tau: RationalLike) -> tuple[
     quadric; t0 is re-derived at every SUBTRACT once the move is found legal.
     The loop's rule for taking a subtraction only ensures termination and is
     not checked.  A "yes" needs the exit condition on the last state, a "no"
-    its absence.  Every rejection is an AssertionError naming the step.  The
-    returned delta is read by as_rational.  Checking a certificate costs
+    its absence.  Every rejection is an AssertionError naming the step; a
+    tau <= 0 is refused up front with the ValueError of certify_lower_bound.
+    The returned delta is read by as_rational.  Checking a certificate costs
     about what producing it did.
     """
-    for i, state, move, _ in _State.walk(result.certificate, as_rational(tau)):
+    for i, state, move, _ in _State.walk(result.certificate, positive_rational(tau, "tau")):
         pass  # the walk checks each move, and each threshold against tau
     want = LMove.TERMINATE_YES if result.answer else LMove.TERMINATE_NO
     if move is not want or state.exit_yes() != result.answer:

@@ -404,7 +404,7 @@ def suite_cremona_involution(cases: int = 1000) -> tuple[bool, str]:
         if sys.mult_count < 3:
             continue
         k = random_linform(rng)
-        back = apply_cremona(apply_cremona(sys, k), -k)
+        back = apply_cremona(apply_cremona(sys, k), (-1) * k)
         if back != sys:
             return False, f"case {i}: double application diverged"
     return True, f"{cases} randomized systems"

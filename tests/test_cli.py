@@ -171,6 +171,8 @@ class TestCountGrammar:
             (["trace-l", "4;0"], "'0' at position 2 in '4;0'"),
             (["verify", "thm4", "--range", "3.. x"], "'x' at position 3 in '3.. x'"),
             (["verify", "invariants", "--max-s", "1_000"], "'1_000' at position 0 in '1_000'"),
+            (["trace-t", "7;1,x,1;15"], "'x' at position 4 in '7;1,x,1;15'"),
+            (["table", "3,7,x"], "'x' at position 4 in '3,7,x'"),
         ],
     )
     def test_error_names_the_position(self, capsys, argv, where):

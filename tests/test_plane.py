@@ -111,7 +111,7 @@ class TestApplyCremona:
     def test_involution(self):
         sys = ps("L2(9+t; 7-2t, 2+3t, 1^30)")
         k = lf("-1+5t")
-        assert apply_cremona(apply_cremona(sys, k), -k) == sys
+        assert apply_cremona(apply_cremona(sys, k), (-1) * k) == sys
 
     def test_needs_three_multiplicities(self):
         with pytest.raises(ValueError):
@@ -206,8 +206,14 @@ class TestReduction:
             SpaceSystem(F(2), (F(0),), 3)
         with pytest.raises(ValueError):
             SpaceSystem(F(2), (), -1)
-        with pytest.raises(ValueError):
-            quadric_threshold(GOLDEN_INPUT, F(0))
+        for p in (1.5, True, F(3)):  # a bool is not read as 0 or 1
+            with pytest.raises(TypeError, match="is not an int"):
+                SpaceSystem(F(2), (), p)
+        for tau in (F(0), F(-1)):
+            with pytest.raises(ValueError, match="^tau must be positive$"):
+                quadric_threshold(GOLDEN_INPUT, tau)
+            with pytest.raises(ValueError, match="^tau must be positive$"):
+                reference_reduction(GOLDEN_INPUT, tau)
 
 
 class Snapshot:

@@ -487,6 +487,12 @@ class TestDegeneration:
             certify_lower_bound(F(4), 5, F(0))
         with pytest.raises(ValueError):
             SpaceSystem(F(4), (F(0),), 2)
+        # the replay refuses tau up front, before any subtraction reads it:
+        # the one-step "yes" of (1/2; 1^3) has none, (4; 1^8) has some
+        for res in (certify_lower_bound("1/2", 3, TAU), certify_lower_bound(F(4), 8, TAU)):
+            for tau in (F(0), F(-1)):
+                with pytest.raises(ValueError, match="^tau must be positive$"):
+                    replay_degeneration(res, tau)
         # best_bound(1) probes no grid point, and still reads tau
         for tau in (F(0), F(-5)):
             with pytest.raises(ValueError, match="tau must be positive"):
